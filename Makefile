@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-faults cover bench bench-ingest bench-gate bench-baseline race lint ci experiments experiments-quick vet vet-graph vet-lockgraph fmt clean fuzz-smoke
+.PHONY: all build test test-short test-faults cover bench bench-ingest bench-gate bench-baseline race lint lint-stats ci experiments experiments-quick vet vet-graph vet-lockgraph fmt clean fuzz-smoke
 
 all: build test
 
@@ -70,6 +70,13 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# The two sizes of the analyzer suite itself, printed on every CI lint run:
+# code-only lines (no comments, no blanks) of internal/lint's non-test files,
+# and the //lint:ignore inventory's header line.
+lint-stats:
+	@printf 'internal/lint code lines: '; ls internal/lint/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+	@$(GO) run ./cmd/qb5000vet -debt ./... | head -n 1
 
 # 30-second coverage-guided fuzz of the SQL parser (mirrors the CI smoke).
 fuzz-smoke:

@@ -55,23 +55,6 @@ func BenchmarkFig17Noisy(b *testing.B)            { benchExperiment(b, "fig17") 
 
 // --- Micro-benchmarks for the pipeline's hot paths. ---
 
-// BenchmarkTemplatize measures the Pre-Processor's per-query cost (the
-// paper's Table 4 reports ~0.05 ms/query).
-func BenchmarkTemplatize(b *testing.B) {
-	queries := []string{
-		"SELECT s.id, s.name FROM stops s WHERE s.lat BETWEEN 40.1 AND 40.2 AND s.lon BETWEEN -80.0 AND -79.9",
-		"INSERT INTO bus_locations (bus_id, lat, lon, reported_at) VALUES (17, 40.45, -79.99, 1512086400)",
-		"UPDATE applications SET status = 'submitted', submitted_at = 1512086400 WHERE id = 8231",
-		"SELECT o.user_id, COUNT(*), SUM(o.amount) FROM orders o WHERE o.status = 'paid' GROUP BY o.user_id HAVING COUNT(*) > 3",
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := preprocess.Templatize(queries[i%len(queries)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPreprocessorIngest measures end-to-end ingestion including
 // history recording and reservoir sampling.
 func BenchmarkPreprocessorIngest(b *testing.B) {

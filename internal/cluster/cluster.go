@@ -133,7 +133,6 @@ type Clusterer struct {
 
 // New creates a Clusterer.
 func New(opts Options) *Clusterer {
-	//lint:ignore floateq zero is the exact "use the default" sentinel, never a computed value
 	if opts.Rho == 0 {
 		opts.Rho = 0.8
 	}
@@ -469,7 +468,6 @@ func (c *Clusterer) nearestCluster(tree *kdtree.Tree, feat []float64) (int64, bo
 func normalize(v []float64) []float64 {
 	n := mat.Norm2(v)
 	out := make([]float64, len(v))
-	//lint:ignore floateq only an exactly zero norm cannot be divided by; tiny norms are fine
 	if n == 0 {
 		return out
 	}
@@ -620,7 +618,6 @@ func (c *Clusterer) Coverage(k int, now time.Time, window time.Duration) float64
 			top += v
 		}
 	}
-	//lint:ignore floateq guards division by an exactly empty workload
 	if total == 0 {
 		return 0
 	}

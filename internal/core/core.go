@@ -93,11 +93,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	//lint:ignore floateq zero is the exact "use the default" sentinel, never a computed value
 	if c.Rho == 0 {
 		c.Rho = 0.8
 	}
-	//lint:ignore floateq zero is the exact "use the default" sentinel
 	if c.Gamma == 0 {
 		c.Gamma = forecast.DefaultGamma
 	}
@@ -110,7 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.TrainWindow == 0 {
 		c.TrainWindow = 21 * 24 * time.Hour
 	}
-	//lint:ignore floateq zero is the exact "use the default" sentinel
 	if c.CoverageTarget == 0 {
 		c.CoverageTarget = 0.95
 	}
@@ -120,7 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.ClusterEvery == 0 {
 		c.ClusterEvery = 24 * time.Hour
 	}
-	//lint:ignore floateq zero is the exact "use the default" sentinel
 	if c.NewTemplateTrigger == 0 {
 		c.NewTemplateTrigger = 0.2
 	}

@@ -169,7 +169,6 @@ func (e *Engine) EstimateCost(stmt sqlparse.Statement, hypothetical map[string][
 		}
 		total += best
 	}
-	//lint:ignore floateq an exactly zero estimate means no costed predicate matched
 	if total == 0 {
 		total = unitQueryFixed
 	}

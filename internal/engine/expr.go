@@ -218,7 +218,6 @@ func arith(op string, l, r Value) (Value, error) {
 		}
 		return FloatVal(lf * rf), nil
 	case "/":
-		//lint:ignore floateq SQL division-by-zero semantics require the exact zero
 		if rf == 0 {
 			return Null, nil
 		}

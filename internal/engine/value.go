@@ -97,7 +97,6 @@ func (v Value) Truthy() bool {
 	case KindInt:
 		return v.Int != 0
 	case KindFloat:
-		//lint:ignore floateq SQL truthiness: only the exact zero is false
 		return v.Float != 0
 	case KindString:
 		return v.Str != ""

@@ -127,13 +127,11 @@ func ablFeatureSize(opt Options, w io.Writer) error {
 		fmt.Fprintf(w, "%-12s", wl.Name)
 		for _, size := range sizes {
 			clu := cluster.New(cluster.Options{Rho: 0.8, Seed: opt.seed() + 1, FeatureSize: size})
-			//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-			start := time.Now()
+			start := startStopwatch()
 			if _, err := clu.Update(context.Background(), to, pre.Templates()); err != nil {
 				return err
 			}
-			//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-			fmt.Fprintf(w, " %4d/%3dms", clu.Len(), time.Since(start).Milliseconds())
+			fmt.Fprintf(w, " %4d/%3dms", clu.Len(), start.elapsed().Milliseconds())
 		}
 		fmt.Fprintln(w)
 	}
@@ -175,16 +173,13 @@ func ablKDTree(opt Options, w io.Writer) error {
 			queries[i] = q
 		}
 
-		//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-		start := time.Now()
+		start := startStopwatch()
 		for _, q := range queries {
 			tree.Nearest(q)
 		}
-		//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-		kdTime := time.Since(start)
+		kdTime := start.elapsed()
 
-		//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-		start = time.Now()
+		start = startStopwatch()
 		for _, q := range queries {
 			best := -1
 			bestD := 0.0
@@ -200,8 +195,7 @@ func ablKDTree(opt Options, w io.Writer) error {
 			}
 			_ = best
 		}
-		//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-		bruteTime := time.Since(start)
+		bruteTime := start.elapsed()
 		fmt.Fprintf(w, "%10d %11.1fµs/op %11.1fµs/op\n", n,
 			float64(kdTime.Microseconds())/probes, float64(bruteTime.Microseconds())/probes)
 	}

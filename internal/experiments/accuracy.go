@@ -292,13 +292,11 @@ func fig10(opt Options, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-			start := time.Now()
+			start := startStopwatch()
 			if err := ens.Fit(subMatrix(hist, 0, trainRows)); err != nil {
 				return err
 			}
-			//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-			trainTime := time.Since(start)
+			trainTime := start.elapsed()
 			// Per-hour MSE, per the paper's §7.4 protocol: the prediction
 			// for each hour is the *sum* of the model's predictions for the
 			// intervals inside that hour (each a legitimate horizon-ahead

@@ -380,7 +380,6 @@ func sampleQueries(wl *workload.Workload, at time.Time, n int, rng *rand.Rand) [
 		shapes = append(shapes, sh{s.Gen, r})
 		total += r
 	}
-	//lint:ignore floateq guards division by an exactly zero rate total
 	if total == 0 || len(shapes) == 0 {
 		return nil
 	}

@@ -152,13 +152,11 @@ type evalResult struct {
 // squared error in log space.
 func fitAndEval(m forecast.Model, hist *mat.Matrix, trainRows, lag, horizon int) (evalResult, error) {
 	var res evalResult
-	//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-	start := time.Now()
+	start := startStopwatch()
 	if err := m.Fit(subMatrix(hist, 0, trainRows)); err != nil {
 		return res, err
 	}
-	//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-	res.trainTime = time.Since(start)
+	res.trainTime = start.elapsed()
 	mse, err := walkEval(m, hist, trainRows, lag, horizon, nil)
 	if err != nil {
 		return res, err

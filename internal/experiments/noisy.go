@@ -84,7 +84,6 @@ func fig17(opt Options, w io.Writer) error {
 			continue
 		}
 		a := actual.At(p.at)
-		//lint:ignore floateq skips rows only when both sides are exactly silent
 		if a == 0 && p.predicted == 0 {
 			continue
 		}

@@ -220,7 +220,6 @@ func (s *spikeSeries) spikeCapture(model string, deadline time.Time) float64 {
 			peak, peakIdx = v, i
 		}
 	}
-	//lint:ignore floateq guards division by an exactly zero peak
 	if peakIdx < 0 || peak == 0 {
 		return 0
 	}

@@ -120,27 +120,23 @@ func table4(opt Options, w io.Writer) error {
 	if len(samples) > 5000 {
 		samples = samples[:5000]
 	}
-	//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-	start := time.Now()
+	start := startStopwatch()
 	pre2 := preprocess.New(preprocess.Options{Seed: opt.seed(), Shards: 1})
 	for i, q := range samples {
 		if _, err := pre2.Process(q, from.Add(time.Duration(i)*time.Second)); err != nil {
 			return err
 		}
 	}
-	//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-	perQuery := time.Since(start) / time.Duration(len(samples))
+	perQuery := start.elapsed() / time.Duration(len(samples))
 	histBytes := pre.HistoryBytes()
 
 	// Clusterer: one daily update over the full catalog.
 	clu := cluster.New(cluster.Options{Rho: 0.8, Seed: opt.seed()})
-	//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-	start = time.Now()
+	start = startStopwatch()
 	if _, err := clu.Update(context.Background(), to, pre.Templates()); err != nil {
 		return err
 	}
-	//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-	clusterTime := time.Since(start)
+	clusterTime := start.elapsed()
 	clusterBytes := pre.Len() * 16 // template→cluster assignment + id
 
 	// Models: fit LR / RNN / KR on the top clusters at a one-hour interval.
@@ -160,13 +156,11 @@ func table4(opt Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-		start = time.Now()
+		start = startStopwatch()
 		if err := m.Fit(hist); err != nil {
 			return err
 		}
-		//lint:ignore noclock wall-clock timing of this phase is the experiment's measurement
-		rows = append(rows, row{name, time.Since(start), m.SizeBytes()})
+		rows = append(rows, row{name, start.elapsed(), m.SizeBytes()})
 	}
 
 	fmt.Fprintf(w, "component      computation                 storage\n")

@@ -54,7 +54,7 @@ func (m *KR) Fit(hist *mat.Matrix) error {
 		return nil
 	}
 	med := medianPairwiseDistance(xs)
-	//lint:ignore floateq a degenerate all-identical sample yields exactly zero median distance
+	// A degenerate all-identical sample yields exactly zero median distance.
 	if med == 0 {
 		med = 1
 	}
@@ -106,7 +106,7 @@ func (m *KR) selectBandwidthScale(med float64) float64 {
 					pred[o] += w * v
 				}
 			}
-			//lint:ignore floateq kernel weights underflow to exactly zero, not approximately
+			// Kernel weights underflow to exactly zero, not approximately.
 			if wsum == 0 {
 				continue
 			}
@@ -168,7 +168,7 @@ func (m *KR) Predict(recent *mat.Matrix) ([]float64, error) {
 			out[o] += w * v
 		}
 	}
-	//lint:ignore floateq kernel weights underflow to exactly zero, not approximately
+	// Kernel weights underflow to exactly zero, not approximately.
 	if wsum == 0 {
 		// All weights underflowed; fall back to the nearest neighbour.
 		best := 0

@@ -76,7 +76,6 @@ func (c Config) withDefaults() Config {
 	if c.Epochs == 0 {
 		c.Epochs = 40
 	}
-	//lint:ignore floateq zero is the unset-config sentinel
 	if c.LearnRate == 0 {
 		c.LearnRate = 0.01
 	}

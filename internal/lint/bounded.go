@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
-	"strings"
 )
 
 // Bounded enforces the serving-tier resource contract (DESIGN.md §9): code
@@ -36,96 +34,32 @@ import (
 //     in a structure nothing bounds. A len() guard in the same closure
 //     (flush-at-threshold batching) keeps it quiet.
 //
-// Reachability follows static call and defer edges but not Dynamic
-// (interface may-call) edges — a may-edge proves nothing — and not `go`
-// edges: a spawned worker is bounded by the spawn rule, while its own
-// blocking receives/sends are its legitimate job. Test files are skipped.
+// Reachability is the call graph's staticTree: static call and defer edges
+// but not Dynamic (interface may-call) edges — a may-edge proves nothing —
+// and not `go` edges: a spawned worker is bounded by the spawn rule, while
+// its own blocking receives/sends are its legitimate job. Test files are
+// skipped.
 var Bounded = &Analyzer{
 	Name: "bounded",
 	Doc:  "serving-path code must use constant channel bounds, non-blocking sends, and gated spawns",
 	Run:  runBounded,
 }
 
-var (
-	servingRe = regexp.MustCompile(`^//\s*qb5000:serving\s*$`)
-	boundedRe = regexp.MustCompile(`^//\s*qb5000:bounded(\s|$)`)
-)
-
-// hasServingAnn / hasBoundedAnn report whether a doc comment carries the
-// respective annotation.
-func hasServingAnn(doc *ast.CommentGroup) bool { return docMatches(doc, servingRe) }
-func hasBoundedAnn(doc *ast.CommentGroup) bool { return docMatches(doc, boundedRe) }
-
-func docMatches(doc *ast.CommentGroup, re *regexp.Regexp) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if re.MatchString(c.Text) {
-			return true
-		}
-	}
-	return false
-}
-
-// serving returns the set of node IDs reachable from qb5000:serving entry
-// points, built lazily once per Program. Every function literal of a
-// reachable declaration is itself reachable: literals run on the declaring
-// function's goroutine unless spawned, and the flat $litN numbering places
-// nested literals under the declaration too.
-func (prog *Program) serving() map[string]bool {
-	if prog.servingID != nil {
-		return prog.servingID
-	}
-	set := make(map[string]bool)
-	var queue []*FuncNode
-	visit := func(n *FuncNode) {
-		if n == nil || set[n.ID] {
-			return
-		}
-		set[n.ID] = true
-		queue = append(queue, n)
-	}
-	for _, n := range prog.Graph.Order {
-		if n.Decl != nil && hasServingAnn(n.Decl.Doc) {
-			visit(n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n.Decl != nil {
-			prefix := n.ID + "$lit"
-			for _, m := range prog.Graph.Order {
-				if strings.HasPrefix(m.ID, prefix) {
-					visit(m)
-				}
-			}
-		}
-		for _, e := range n.Out {
-			if e.Dynamic || e.Go {
-				continue
-			}
-			visit(e.Callee)
-		}
-	}
-	prog.servingID = set
-	return prog.servingID
-}
-
 func runBounded(p *Pass) {
-	if p.Prog == nil {
-		return
-	}
-	serving := p.Prog.serving()
-	if len(serving) == 0 {
-		return
+	if p.Prog.serving == nil {
+		var roots []*FuncNode
+		for _, n := range p.Prog.Graph.Order {
+			if n.Decl != nil && n.annotated("serving") {
+				roots = append(roots, n)
+			}
+		}
+		p.Prog.serving = make(map[*FuncNode]bool)
+		for _, n := range staticTree(roots...) {
+			p.Prog.serving[n] = true
+		}
 	}
 	for _, n := range p.Prog.Graph.Order {
-		if n.Pkg != p.Unit || !serving[n.ID] || n.Body == nil {
-			continue
-		}
-		if p.InTestFile(n.Body.Pos()) {
+		if n.Pkg != p.Unit || !p.Prog.serving[n] || n.Body == nil || p.InTestFile(n.Body.Pos()) {
 			continue
 		}
 		p.checkBoundedNode(n)
@@ -149,7 +83,7 @@ func (p *Pass) checkBoundedNode(n *FuncNode) {
 		switch x := node.(type) {
 		case *ast.CallExpr:
 			p.checkServingMake(x)
-			if !n.boundedAnn && !goCalls[x] {
+			if !n.annotated("bounded") && !goCalls[x] {
 				if tf := staticCallee(p.Info, x); tf != nil {
 					if cs := sums[funcID(tf)]; cs != nil && cs.Spawns && !cs.Bounded {
 						p.Reportf(x.Pos(), "call to %s on a serving path spawns goroutines without a proven bound; gate the spawn and annotate the spawner qb5000:bounded", tf.Name())
@@ -157,7 +91,7 @@ func (p *Pass) checkBoundedNode(n *FuncNode) {
 				}
 			}
 		case *ast.GoStmt:
-			if !n.boundedAnn {
+			if !n.annotated("bounded") {
 				p.Reportf(x.Pos(), "ungated goroutine spawn on a serving path; gate it behind a bounded pool/semaphore and annotate the spawner qb5000:bounded")
 			}
 		case *ast.SendStmt:

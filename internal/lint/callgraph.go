@@ -51,15 +51,14 @@ type FuncNode struct {
 	// methodRecv names the receiver type ("pkg.T") for methods, "" otherwise.
 	methodRecv string
 
-	// boundedAnn records a // qb5000:bounded doc annotation: the author
-	// audited this function's goroutine spawning as gated by a bounded
-	// pool/semaphore. Literals inherit the flag from their enclosing
-	// declaration (the audit covers the whole body).
-	boundedAnn bool
+	// ann holds the declaration's doc-comment annotations (annotate.go), key
+	// → arguments. Literals share their enclosing declaration's map: an
+	// annotation covers the whole body, closures included.
+	ann map[string][]string
 
-	// Tarjan bookkeeping.
-	index, lowlink int
-	onStack        bool
+	// lits lists the literals nested in a declaration, at any depth, in
+	// source order; nil for literal nodes.
+	lits []*FuncNode
 }
 
 // A CallEdge is one (may-)call from Caller to Callee.
@@ -95,6 +94,47 @@ func (g *CallGraph) NodeFor(fd *ast.FuncDecl) *FuncNode { return g.byDecl[fd] }
 
 // NodeForLit returns the graph node of a function literal, or nil.
 func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
+
+// annotated reports whether the node's declaration carries qb5000:<key>;
+// a nil node (a callee outside the loaded set) carries nothing.
+func (n *FuncNode) annotated(key string) bool {
+	if n == nil {
+		return false
+	}
+	_, ok := n.ann[key]
+	return ok
+}
+
+// staticTree returns what provably runs on the goroutine that calls one of
+// the roots, in breadth-first order: the roots, every function literal of a
+// reachable declaration (literals run on the declaring function's goroutine
+// unless spawned), and the callees of static call and defer edges. Dynamic
+// (interface may-call) edges are not followed — a may-edge proves nothing —
+// and neither are `go` edges: a spawned callee runs elsewhere.
+func staticTree(roots ...*FuncNode) []*FuncNode {
+	seen := make(map[*FuncNode]bool)
+	var out []*FuncNode
+	visit := func(n *FuncNode) {
+		if n != nil && !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	for _, r := range roots {
+		visit(r)
+	}
+	for i := 0; i < len(out); i++ {
+		for _, lit := range out[i].lits {
+			visit(lit)
+		}
+		for _, e := range out[i].Out {
+			if !e.Dynamic && !e.Go {
+				visit(e.Callee)
+			}
+		}
+	}
+	return out
+}
 
 // funcID renders the symbolic ID of a declared function or method from its
 // type object. Pointer receivers are normalized away: T and *T methods
@@ -191,12 +231,12 @@ func buildCallGraph(units []*Package) *CallGraph {
 					continue
 				}
 				node := &FuncNode{
-					ID:         declID(pkg, fd),
-					Pkg:        pkg,
-					Decl:       fd,
-					Type:       fd.Type,
-					Body:       fd.Body,
-					boundedAnn: hasBoundedAnn(fd.Doc),
+					ID:   declID(pkg, fd),
+					Pkg:  pkg,
+					Decl: fd,
+					Type: fd.Type,
+					Body: fd.Body,
+					ann:  annotationsIn(onFunc, fd.Doc),
 				}
 				if fd.Recv != nil && len(fd.Recv.List) > 0 {
 					if name := recvName(fd.Recv.List[0].Type); name != "" {
@@ -213,17 +253,16 @@ func buildCallGraph(units []*Package) *CallGraph {
 				if fd.Body == nil {
 					continue
 				}
-				litN := 0
 				inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
 					ln := &FuncNode{
-						ID:         fmt.Sprintf("%s$lit%d", node.ID, litN),
-						Pkg:        pkg,
-						Lit:        lit,
-						Type:       lit.Type,
-						Body:       lit.Body,
-						boundedAnn: node.boundedAnn,
+						ID:   fmt.Sprintf("%s$lit%d", node.ID, len(node.lits)),
+						Pkg:  pkg,
+						Lit:  lit,
+						Type: lit.Type,
+						Body: lit.Body,
+						ann:  node.ann,
 					}
-					litN++
+					node.lits = append(node.lits, ln)
 					litNodes[lit] = ln
 					addNode(ln)
 				})
@@ -289,16 +328,7 @@ func collectEdges(g *CallGraph, node *FuncNode, litNodes map[*ast.FuncLit]*FuncN
 	}
 	// Calls that are the direct operand of go/defer are recorded with their
 	// tags at the statement; the generic CallExpr walk must skip them.
-	goDefer := make(map[*ast.CallExpr]bool)
-	ast.Inspect(node.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.GoStmt:
-			goDefer[st.Call] = true
-		case *ast.DeferStmt:
-			goDefer[st.Call] = true
-		}
-		return true
-	})
+	goDefer := goDeferOperands(node.Body)
 	inspectShallow(node.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.GoStmt:
@@ -357,52 +387,65 @@ func coversAll(have map[string]bool, need []string) bool {
 	return true
 }
 
-// condense runs Tarjan's algorithm over static (non-Dynamic) edges. Tarjan
-// emits each SCC only after every SCC reachable from it, so the resulting
-// slice is already in bottom-up (callee-first) order.
+// condense computes the SCC condensation over static (non-Dynamic) edges.
 func (g *CallGraph) condense() {
-	index := 1
-	var stack []*FuncNode
-	var strongconnect func(v *FuncNode)
-	strongconnect = func(v *FuncNode) {
-		v.index = index
-		v.lowlink = index
-		index++
-		stack = append(stack, v)
-		v.onStack = true
+	g.SCCs = tarjan(g.Order, func(v *FuncNode) []*FuncNode {
+		var callees []*FuncNode
 		for _, e := range v.Out {
-			if e.Dynamic {
-				continue
-			}
-			w := e.Callee
-			if w.index == 0 {
-				strongconnect(w)
-				if w.lowlink < v.lowlink {
-					v.lowlink = w.lowlink
-				}
-			} else if w.onStack && w.index < v.lowlink {
-				v.lowlink = w.index
+			if !e.Dynamic {
+				callees = append(callees, e.Callee)
 			}
 		}
-		if v.lowlink == v.index {
-			var scc []*FuncNode
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				w.onStack = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
+		return callees
+	})
+}
+
+// tarjan computes the strongly connected components of the graph over nodes
+// (roots tried in slice order, successors in succs order, so the result is
+// deterministic). Tarjan's algorithm emits each component only after every
+// component reachable from it, so the result is in bottom-up order: every
+// edge from a node in out[j] leads into some out[i] with i <= j.
+func tarjan[N comparable](nodes []N, succs func(N) []N) [][]N {
+	index := make(map[N]int, len(nodes))
+	lowlink := make(map[N]int, len(nodes))
+	onStack := make(map[N]bool)
+	var stack []N
+	var out [][]N
+	var connect func(v N)
+	connect = func(v N) {
+		index[v] = len(index) + 1
+		lowlink[v] = index[v]
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range succs(v) {
+			if index[w] == 0 {
+				connect(w)
+				lowlink[v] = min(lowlink[v], lowlink[w])
+			} else if onStack[w] {
+				lowlink[v] = min(lowlink[v], index[w])
 			}
-			g.SCCs = append(g.SCCs, scc)
+		}
+		if lowlink[v] != index[v] {
+			return
+		}
+		var scc []N
+		for {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[w] = false
+			scc = append(scc, w)
+			if w == v {
+				break
+			}
+		}
+		out = append(out, scc)
+	}
+	for _, v := range nodes {
+		if index[v] == 0 {
+			connect(v)
 		}
 	}
-	for _, v := range g.Order {
-		if v.index == 0 {
-			strongconnect(v)
-		}
-	}
+	return out
 }
 
 // WriteDOT renders the call graph in Graphviz DOT form (the driver's -graph

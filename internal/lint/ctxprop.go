@@ -28,29 +28,14 @@ var CtxProp = &Analyzer{
 }
 
 func runCtxProp(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
+	// A closure sees its enclosing ctx via capture: literals under a
+	// ctx-carrying declaration are checked too, and literals with their own
+	// ctx parameter regardless.
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		if p.hasCtxParam(fb.decl.Type) || p.hasCtxParam(fb.typ) {
+			p.checkCtxPropFunc(fb.body)
 		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if p.hasCtxParam(fd.Type) {
-				p.checkCtxPropFunc(fd.Body)
-			}
-			// A closure sees its enclosing ctx via capture; check literals
-			// under a ctx-carrying declaration too, and literals with their
-			// own ctx parameter regardless.
-			encl := p.hasCtxParam(fd.Type)
-			inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
-				if encl || p.hasCtxParam(lit.Type) {
-					p.checkCtxPropFunc(lit.Body)
-				}
-			})
-		}
-	}
+	})
 }
 
 // hasCtxParam reports whether the function type declares a context.Context
@@ -81,9 +66,6 @@ func (p *Pass) checkCtxPropFunc(body *ast.BlockStmt) {
 			}
 		}
 		// Shape 2: a loaded callee that swallows the context internally.
-		if p.Prog == nil {
-			return true
-		}
 		tf := staticCallee(p.Info, call)
 		if tf == nil {
 			return true

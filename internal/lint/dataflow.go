@@ -1,10 +1,12 @@
 package lint
 
 // This file is the intraprocedural dataflow layer the semantic analyzers
-// (guardedby, sliceshare, errflow) build on: a per-function control-flow
-// graph over go/ast, a generic forward worklist solver, and reaching
-// definitions. It is deliberately stdlib-only — no golang.org/x/tools —
-// matching the loader's zero-dependency contract.
+// build on: the function-body walker, a per-function control-flow graph
+// over go/ast, a generic forward worklist solver, the one set lattice its
+// clients share, and reaching definitions. The two engines configured on
+// top of it live in mustuse.go and obligation.go. It is deliberately
+// stdlib-only — no golang.org/x/tools — matching the loader's
+// zero-dependency contract.
 //
 // Precision notes. Blocks hold "element" nodes: simple statements and the
 // sub-expressions of control statements, in evaluation order. Function
@@ -20,7 +22,59 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
+
+// A funcBody is one function body as the per-function analyses see it: a
+// declaration's own body, or the body of a literal nested in one. Literals
+// are separate bodies because a closure may run on another goroutine, so
+// its flow must not mix with the enclosing function's.
+type funcBody struct {
+	file *ast.File
+	decl *ast.FuncDecl  // the enclosing declaration
+	lit  *ast.FuncLit   // non-nil when this is a literal's body
+	recv *ast.FieldList // the receiver; nil for literals
+	typ  *ast.FuncType
+	body *ast.BlockStmt
+
+	reach *reaching // built on first use by reaching
+}
+
+// reaching returns the body's reaching definitions, solved on first use.
+func (fb *funcBody) reaching(info *types.Info) *reaching {
+	if fb.reach == nil {
+		fb.reach = newReaching(info, fb.recv, fb.typ, fb.body)
+	}
+	return fb.reach
+}
+
+// eachFuncBody calls f for every function body in u's non-test files: each
+// declaration's body, then every literal nested in it at any depth.
+func eachFuncBody(u *Package, f func(*funcBody)) {
+	for _, file := range u.nonTestFiles() {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			f(&funcBody{file: file, decl: fd, recv: fd.Recv, typ: fd.Type, body: fd.Body})
+			inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
+				f(&funcBody{file: file, decl: fd, lit: lit, typ: lit.Type, body: lit.Body})
+			})
+		}
+	}
+}
+
+// inspectFuncLits calls f for every function literal under root, including
+// literals nested in other literals.
+func inspectFuncLits(root ast.Node, f func(*ast.FuncLit)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			f(lit)
+		}
+		return true
+	})
+}
 
 // A cfgBlock is one straight-line run of element nodes with successor edges.
 type cfgBlock struct {
@@ -441,6 +495,88 @@ func forwardFlow[F any](g *funcCFG, entry F,
 	return in[g.exit], seen[g.exit]
 }
 
+// sortedKeys returns m's keys in sorted order, for deterministic iteration.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// ---- The set lattice ----
+
+// A setFact is the lattice element the flow analyses share: a finite map
+// from a key (a lock expression, an open handle, an admission gate, a
+// synced file) to the witness that put it there (a position, a lock mode).
+// Facts are persistent — with and without copy before mutating — because
+// forwardFlow holds the same fact on several edges. union and intersect are
+// the two joins: union for may-analyses (the key holds on some path into
+// the point), intersect for must-analyses (it holds on every path).
+type setFact[K comparable, V comparable] map[K]V
+
+func (s setFact[K, V]) with(k K, v V) setFact[K, V] {
+	if have, ok := s[k]; ok && have == v {
+		return s
+	}
+	n := make(setFact[K, V], len(s)+1)
+	for sk, sv := range s {
+		n[sk] = sv
+	}
+	n[k] = v
+	return n
+}
+
+func (s setFact[K, V]) without(k K) setFact[K, V] {
+	if _, ok := s[k]; !ok {
+		return s
+	}
+	n := make(setFact[K, V], len(s))
+	for sk, sv := range s {
+		if sk != k {
+			n[sk] = sv
+		}
+	}
+	return n
+}
+
+// union keeps s's witness for keys both sides hold.
+func (s setFact[K, V]) union(b setFact[K, V]) setFact[K, V] {
+	n := make(setFact[K, V], len(s)+len(b))
+	for k, v := range b {
+		n[k] = v
+	}
+	for k, v := range s {
+		n[k] = v
+	}
+	return n
+}
+
+// intersect keeps s's witness for the keys both sides hold; the result is
+// always a fresh map the caller may adjust.
+func (s setFact[K, V]) intersect(b setFact[K, V]) setFact[K, V] {
+	n := make(setFact[K, V])
+	for k, v := range s {
+		if _, ok := b[k]; ok {
+			n[k] = v
+		}
+	}
+	return n
+}
+
+func (s setFact[K, V]) equal(b setFact[K, V]) bool {
+	if len(s) != len(b) {
+		return false
+	}
+	for k, v := range s {
+		if bv, ok := b[k]; !ok || bv != v {
+			return false
+		}
+	}
+	return true
+}
+
 // ---- Reaching definitions ----
 
 // A defSite is one definition of a variable that may reach a use.
@@ -471,6 +607,17 @@ type reaching struct {
 // node (a node stored in a CFG block — a statement, not a sub-expression).
 func (r *reaching) defsAt(element ast.Node, obj types.Object) []defSite {
 	return r.before[element][obj]
+}
+
+// elementOf climbs from n to the enclosing CFG element the solver keyed its
+// facts on, or nil.
+func (r *reaching) elementOf(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
+	for cur := n; cur != nil; cur = parents[cur] {
+		if _, ok := r.before[cur]; ok {
+			return cur
+		}
+	}
+	return nil
 }
 
 // newReaching solves reaching definitions over body. recv and params seed

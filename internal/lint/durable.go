@@ -3,9 +3,9 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"os"
-	"regexp"
 	"strings"
 )
 
@@ -45,10 +45,6 @@ var Durable = &Analyzer{
 	Run:  runDurable,
 }
 
-// durableRe matches the annotation and captures the optional parameter-name
-// list.
-var durableRe = regexp.MustCompile(`^//\s*qb5000:durable\s*(.*)$`)
-
 // osDurableBans maps the os-package calls that tear durable files on crash
 // to the reason shown in the finding.
 var osDurableBans = map[string]string{
@@ -60,63 +56,41 @@ var osDurableBans = map[string]string{
 	"Truncate":  "truncates a durable file in place",
 }
 
-// durableParams returns, per symbolic function ID, the parameter indices
-// annotated qb5000:durable in the function's doc comment — built lazily
-// once per Program, like noallocIDs, so the contract transfers across
-// package boundaries.
-func (prog *Program) durableParams() map[string]map[int]bool {
-	if prog.durable == nil {
-		prog.durable = make(map[string]map[int]bool)
-		for _, u := range prog.Units {
-			for _, file := range u.Files {
-				for _, decl := range file.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok {
-						continue
-					}
-					if idx := durableParamIndices(fd); len(idx) > 0 {
-						prog.durable[declID(u, fd)] = idx
-					}
-				}
-			}
-		}
-	}
-	return prog.durable
-}
-
-// durableParamIndices resolves the names in fd's doc annotation to
-// positional parameter indices.
-func durableParamIndices(fd *ast.FuncDecl) map[int]bool {
-	if fd.Doc == nil {
+// durableParamIndices resolves the parameter names in a declaration's
+// qb5000:durable doc annotation to positional indices. The contract
+// transfers across package boundaries because callers look the callee's
+// node up in the program-wide call graph.
+func durableParamIndices(n *FuncNode) map[int]bool {
+	if !n.annotated("durable") || n.Decl == nil {
 		return nil
 	}
 	names := map[string]bool{}
-	for _, c := range fd.Doc.List {
-		m := durableRe.FindStringSubmatch(c.Text)
-		if m == nil {
-			continue
-		}
-		for _, name := range strings.Fields(m[1]) {
-			names[name] = true
-		}
-	}
-	if len(names) == 0 || fd.Type.Params == nil {
-		return nil
+	for _, name := range strings.Fields(n.ann["durable"][0]) {
+		names[name] = true
 	}
 	idx := map[int]bool{}
-	i := 0
-	for _, f := range fd.Type.Params.List {
-		for _, name := range f.Names {
-			if names[name.Name] {
-				idx[i] = true
-			}
-			i++
-		}
-		if len(f.Names) == 0 {
-			i++
+	for i, obj := range paramNames(n.Decl.Type) {
+		if obj != nil && names[obj.Name] {
+			idx[i] = true
 		}
 	}
 	return idx
+}
+
+// paramNames lists a function type's parameter identifiers positionally,
+// with nil for unnamed parameters.
+func paramNames(ft *ast.FuncType) []*ast.Ident {
+	if ft == nil || ft.Params == nil {
+		return nil
+	}
+	var out []*ast.Ident
+	for _, f := range ft.Params.List {
+		if len(f.Names) == 0 {
+			out = append(out, nil)
+		}
+		out = append(out, f.Names...)
+	}
+	return out
 }
 
 // collectDurable gathers this unit's durable objects: values whose
@@ -130,11 +104,11 @@ func collectDurable(p *Pass) map[types.Object]bool {
 		// its own line or the line directly below.
 		annotated := map[int]bool{}
 		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				if m := durableRe.FindStringSubmatch(c.Text); m != nil && strings.TrimSpace(m[1]) == "" {
+			scanAnnotations(onDecl, cg.List, func(c *ast.Comment, _ string, args []string) {
+				if args != nil && strings.TrimSpace(args[0]) == "" {
 					annotated[p.Fset.Position(c.Pos()).Line] = true
 				}
-			}
+			})
 		}
 		markIdent := func(id *ast.Ident) {
 			if id.Name == "_" {
@@ -171,20 +145,10 @@ func collectDurable(p *Pass) map[types.Object]bool {
 					}
 				}
 			case *ast.FuncDecl:
-				idx := durableParamIndices(x)
-				if len(idx) == 0 {
-					return true
-				}
-				i := 0
-				for _, f := range x.Type.Params.List {
-					for _, name := range f.Names {
-						if idx[i] {
-							markIdent(name)
-						}
-						i++
-					}
-					if len(f.Names) == 0 {
-						i++
+				idx := durableParamIndices(p.Prog.Graph.NodeFor(x))
+				for i, name := range paramNames(x.Type) {
+					if idx[i] {
+						markIdent(name)
 					}
 				}
 			}
@@ -213,14 +177,7 @@ func runDurable(p *Pass) {
 		})
 		return found
 	}
-	var calleeDurable map[string]map[int]bool
-	if p.Prog != nil {
-		calleeDurable = p.Prog.durableParams()
-	}
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
+	for _, file := range p.Unit.nonTestFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -250,7 +207,7 @@ func runDurable(p *Pass) {
 				return true
 			}
 			id := funcID(tf)
-			ann := calleeDurable[id]
+			ann := durableParamIndices(p.Prog.Graph.Nodes[id])
 			allAnnotated := true
 			for _, i := range durableArgs {
 				if !ann[i] {
@@ -260,10 +217,8 @@ func runDurable(p *Pass) {
 			if allAnnotated {
 				return true // the callee carries the contract forward
 			}
-			if p.Prog != nil {
-				if cs := p.Prog.Summaries[id]; cs != nil && cs.PerformsIO {
-					p.Reportf(call.Pos(), "qb5000:durable path handed to %s, which performs filesystem writes without a qb5000:durable parameter contract; route the write through fsx.WriteAtomic or annotate the callee's parameter", tf.Name())
-				}
+			if cs := p.Prog.Summaries[id]; cs != nil && cs.PerformsIO {
+				p.Reportf(call.Pos(), "qb5000:durable path handed to %s, which performs filesystem writes without a qb5000:durable parameter contract; route the write through fsx.WriteAtomic or annotate the callee's parameter", tf.Name())
 			}
 			return true
 		})
@@ -286,99 +241,48 @@ func checkOpenFileFlags(p *Pass, call *ast.CallExpr) {
 	p.Reportf(call.Pos(), "os.OpenFile on a qb5000:durable path with write flags (or flags the analyzer cannot prove read-only); write it through fsx.WriteAtomic")
 }
 
-// checkFsxProtocol is the must-analysis run inside package fsx: at every
-// os.Rename element, some Sync of a written *os.File must have happened on
-// every incoming path.
+// checkFsxProtocol is the must-analysis run inside package fsx, as an
+// obligation-engine configuration: a Sync of an *os.File establishes that
+// file, join = intersect keeps only what every incoming path established,
+// and each os.Rename demands a non-empty set.
 func checkFsxProtocol(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkRenameSynced(p, fd.Body)
-		}
-	}
-}
-
-// syncedFact is the must-set of *os.File objects fsynced on every path to
-// the current point. Facts are persistent: transfer copies before adding.
-type syncedFact map[types.Object]bool
-
-func checkRenameSynced(p *Pass, body *ast.BlockStmt) {
-	g := buildCFG(body)
-	transfer := func(f syncedFact, n ast.Node) syncedFact {
-		var add []types.Object
+	selectorCalls := func(n ast.Node, f func(call *ast.CallExpr, sel *ast.SelectorExpr)) {
 		ast.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Sync" {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if t := p.Info.TypeOf(id); t == nil || t.String() != "*os.File" {
-				return true
-			}
-			if obj := p.Info.ObjectOf(id); obj != nil {
-				add = append(add, obj)
+			if call, ok := m.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					f(call, sel)
+				}
 			}
 			return true
 		})
-		if len(add) == 0 {
-			return f
-		}
-		nf := make(syncedFact, len(f)+len(add))
-		for k := range f {
-			nf[k] = true
-		}
-		for _, obj := range add {
-			nf[obj] = true
-		}
-		return nf
 	}
-	join := func(a, b syncedFact) syncedFact {
-		out := syncedFact{}
-		for k := range a {
-			if b[k] {
-				out[k] = true
-			}
-		}
-		return out
+	protocol := obligation[types.Object]{
+		join: setFact[types.Object, token.Pos].intersect,
+		mint: func(n ast.Node, add func(types.Object, token.Pos)) {
+			selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+				id, ok := sel.X.(*ast.Ident)
+				if !ok || sel.Sel.Name != "Sync" {
+					return
+				}
+				if t := p.Info.TypeOf(id); t == nil || t.String() != "*os.File" {
+					return
+				}
+				if obj := p.Info.ObjectOf(id); obj != nil {
+					add(obj, call.Pos())
+				}
+			})
+		},
+		demand: func(n ast.Node, synced setFact[types.Object, token.Pos]) {
+			selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+				if sel.Sel.Name == "Rename" && isPkgIdent(p.Info, sel.X, "os") && len(synced) == 0 {
+					p.Reportf(call.Pos(), "os.Rename without an fsync of the written file on every path to it; the atomic-write protocol is write-temp → fsync → close → rename")
+				}
+			})
+		},
 	}
-	equal := func(a, b syncedFact) bool {
-		if len(a) != len(b) {
-			return false
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		if fb.lit == nil {
+			checkObligations(p, fb.body, protocol)
 		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	forwardFlow(g, syncedFact{}, transfer, join, equal, func(n ast.Node, f syncedFact) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Rename" || !isPkgIdent(p.Info, sel.X, "os") {
-				return true
-			}
-			if len(f) == 0 {
-				p.Reportf(call.Pos(), "os.Rename without an fsync of the written file on every path to it; the atomic-write protocol is write-temp → fsync → close → rename")
-			}
-			return true
-		})
 	})
 }

@@ -33,105 +33,45 @@ var ErrFlow = &Analyzer{
 }
 
 func runErrFlow(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			p.checkErrFlowFunc(fd.Recv, fd.Type, fd.Body)
-			inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
-				p.checkErrFlowFunc(nil, lit.Type, lit.Body)
-			})
-		}
-	}
+	eachFuncBody(p.Unit, func(fb *funcBody) { p.checkMustUse(errMustUse, fb) })
 }
 
-// checkErrFlowFunc walks one function body. Reaching definitions over the
-// body resolve whether a deferred Close receiver was opened writable.
-func (p *Pass) checkErrFlowFunc(recv *ast.FieldList, ft *ast.FuncType, body *ast.BlockStmt) {
-	var reach *reaching // built lazily: only defer Close needs provenance
-	getReach := func() *reaching {
-		if reach == nil {
-			reach = newReaching(p.Info, recv, ft, body)
+// errMustUse is the analyzer as a must-use configuration: every call whose
+// last result is `error` is a producer unless the audited exemption list
+// covers it. A partially blanked result (`v, _ := open()`) shows intent and
+// never classifies as dropBlank; dead stores of an arbitrary error are
+// outside this analyzer (the propagation contracts that need them,
+// faultpath and shedflow, have a dropDead message).
+var errMustUse = mustUse{
+	produces: func(p *Pass, call *ast.CallExpr) bool { return p.returnsError(call) && !p.errExempt(call) },
+	message: func(p *Pass, fb *funcBody, call *ast.CallExpr, d disposal) string {
+		verb := "call"
+		switch d {
+		case dropBlank:
+			return "assignment blanks the error from " + callName(call) + "; handle it, or suppress with a reasoned //lint:ignore errflow"
+		case dropDead:
+			return ""
+		case dropDefer:
+			verb = "deferred call"
+		case dropGo:
+			verb = "goroutine call"
 		}
-		return reach
-	}
-	inspectShallow(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := st.X.(*ast.CallExpr); ok {
-				p.checkDiscardedCall(call, getReach, st)
-			}
-		case *ast.DeferStmt:
-			p.checkDiscardedCall(st.Call, getReach, st)
-		case *ast.GoStmt:
-			if _, isLit := st.Call.Fun.(*ast.FuncLit); !isLit {
-				p.checkDiscardedCall(st.Call, nil, st)
-			}
-		case *ast.AssignStmt:
-			p.checkBlankAssign(st)
+		// Close provenance decides between the read-only exemption and a
+		// report; a spawned Close has no element on this body's flow.
+		if d != dropGo && p.isReadOnlyClose(fb, call) {
+			return ""
 		}
-		return true
-	})
-}
-
-// checkDiscardedCall reports call if it returns an error that the enclosing
-// statement throws away. getReach is non-nil only in defer position, where
-// Close provenance decides between the read-only exemption and a report.
-func (p *Pass) checkDiscardedCall(call *ast.CallExpr, getReach func() *reaching, element ast.Node) {
-	if !p.returnsError(call) || p.errExempt(call) {
-		return
-	}
-	if getReach != nil && p.isReadOnlyClose(call, getReach(), element) {
-		return
-	}
-	verb := "call"
-	if _, isDefer := element.(*ast.DeferStmt); isDefer {
-		verb = "deferred call"
-	} else if _, isGo := element.(*ast.GoStmt); isGo {
-		verb = "goroutine call"
-	}
-	p.Reportf(call.Pos(), "%s to %s discards its error; check it, or blank it with an explanatory //lint:ignore errflow", verb, callName(call))
-}
-
-// checkBlankAssign reports assignments whose left side blanks every
-// error-typed result of an error-returning call (e.g. `_ = f()` or
-// `v, _ := open()` where only the error is blanked is fine — at least one
-// named result shows intent; all-blank is not).
-func (p *Pass) checkBlankAssign(st *ast.AssignStmt) {
-	if len(st.Rhs) != 1 {
-		return
-	}
-	call, ok := st.Rhs[0].(*ast.CallExpr)
-	if !ok || !p.returnsError(call) || p.errExempt(call) {
-		return
-	}
-	for _, lhs := range st.Lhs {
-		if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
-			return
-		}
-	}
-	p.Reportf(st.Pos(), "assignment blanks the error from %s; handle it, or suppress with a reasoned //lint:ignore errflow", callName(call))
+		return verb + " to " + callName(call) + " discards its error; check it, or blank it with an explanatory //lint:ignore errflow"
+	},
 }
 
 // returnsError reports whether call's last result is the builtin error type.
 func (p *Pass) returnsError(call *ast.CallExpr) bool {
-	t := p.Info.TypeOf(call)
-	if t == nil {
-		// Fixture fallback: well-known error-returning method names keep
-		// golden tests meaningful even without full type info.
-		return false
-	}
-	switch rt := t.(type) {
+	switch rt := p.Info.TypeOf(call).(type) {
+	case nil:
+		return false // no type information survived for this call
 	case *types.Tuple:
-		if rt.Len() == 0 {
-			return false
-		}
-		return isErrorType(rt.At(rt.Len() - 1).Type())
+		return rt.Len() > 0 && isErrorType(rt.At(rt.Len()-1).Type())
 	default:
 		return isErrorType(rt)
 	}
@@ -152,18 +92,13 @@ func (p *Pass) errExempt(call *ast.CallExpr) bool {
 		return false
 	}
 	// Package-level fmt printers.
-	if pkgID, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := p.Info.Uses[pkgID].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
-			name := sel.Sel.Name
-			if name == "Print" || name == "Println" || name == "Printf" {
-				return true
-			}
-			if strings.HasPrefix(name, "Fprint") && len(call.Args) > 0 {
-				if p.isStdStream(call.Args[0]) {
-					return true
-				}
-				return !p.isFailableWriter(p.Info.TypeOf(call.Args[0]))
-			}
+	if isPkgIdent(p.Info, sel.X, "fmt") {
+		name := sel.Sel.Name
+		if name == "Print" || name == "Println" || name == "Printf" {
+			return true
+		}
+		if strings.HasPrefix(name, "Fprint") && len(call.Args) > 0 {
+			return p.isStdStream(call.Args[0]) || !p.isFailableWriter(p.Info.TypeOf(call.Args[0]))
 		}
 	}
 	// Methods on in-memory sinks whose errors are always nil.
@@ -189,17 +124,7 @@ func (p *Pass) errExempt(call *ast.CallExpr) bool {
 // path, and flagging every progress line would drown the real findings.
 func (p *Pass) isStdStream(e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Stderr" && sel.Sel.Name != "Stdout") {
-		return false
-	}
-	pkgID, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if pn, ok := p.Info.Uses[pkgID].(*types.PkgName); ok {
-		return pn.Imported().Path() == "os"
-	}
-	return false
+	return ok && (sel.Sel.Name == "Stderr" || sel.Sel.Name == "Stdout") && isPkgIdent(p.Info, sel.X, "os")
 }
 
 // isFailableWriter reports whether writes to t can actually fail: a real
@@ -215,9 +140,9 @@ func (p *Pass) isFailableWriter(t types.Type) bool {
 }
 
 // isReadOnlyClose reports whether call is x.Close() where every definition
-// of x reaching the defer is an os.Open call — a read-only handle whose
+// of x reaching the statement is an os.Open call — a read-only handle whose
 // Close cannot lose buffered writes.
-func (p *Pass) isReadOnlyClose(call *ast.CallExpr, reach *reaching, element ast.Node) bool {
+func (p *Pass) isReadOnlyClose(fb *funcBody, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Close" {
 		return false
@@ -230,7 +155,8 @@ func (p *Pass) isReadOnlyClose(call *ast.CallExpr, reach *reaching, element ast.
 	if obj == nil {
 		return false
 	}
-	defs := reach.defsAt(element, obj)
+	reach := fb.reaching(p.Info)
+	defs := reach.defsAt(reach.elementOf(p.parents(fb.file), call), obj)
 	if len(defs) == 0 {
 		return false
 	}
@@ -249,17 +175,7 @@ func (p *Pass) isOsOpenCall(e ast.Expr) bool {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Open" {
-		return false
-	}
-	pkgID, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if pn, ok := p.Info.Uses[pkgID].(*types.PkgName); ok {
-		return pn.Imported().Path() == "os"
-	}
-	return pkgID.Name == "os" // fixture fallback without import resolution
+	return ok && sel.Sel.Name == "Open" && isPkgIdent(p.Info, sel.X, "os")
 }
 
 // callName renders a compact name for diagnostics: pkg.Func, recv.Method,

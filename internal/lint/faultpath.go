@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"go/types"
-	"sort"
 )
 
 // FaultPath keeps the fault-injection registry honest (DESIGN.md §8). Three
@@ -21,9 +19,9 @@ import (
 //     coverage the crash matrix believes it is exercising.
 //   - Propagation: the error returned by Inject must flow somewhere — an
 //     Inject whose result is dropped (ExprStmt, `_ =`, or an err variable
-//     never read afterwards, via the same reaching-definitions analysis
-//     errflow uses) is a swallowed fault path: the schedule fires, the test
-//     believes a fault was injected, and the code under test never sees it.
+//     never read afterwards; the must-use engine of mustuse.go) is a
+//     swallowed fault path: the schedule fires, the test believes a fault
+//     was injected, and the code under test never sees it.
 //
 // Site names must be string constants so the cross-reference is decidable;
 // a dynamic name is itself reported. _test.go files may Inject freely (they
@@ -92,20 +90,7 @@ func (prog *Program) failpoints() *fpRegistry {
 	return prog.failpts
 }
 
-// sortedFpNames returns the keys of a site map in deterministic order.
-func sortedFpNames(m map[string][]fpSite) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func runFaultPath(p *Pass) {
-	if p.Prog == nil {
-		return
-	}
 	reg := p.Prog.failpoints()
 	inUnit := func(s fpSite) bool { return s.unit == p.Unit }
 
@@ -114,7 +99,7 @@ func runFaultPath(p *Pass) {
 			p.Reportf(s.pos, "failpoint site name must be a string constant so the registry cross-check can see it")
 		}
 	}
-	for _, name := range sortedFpNames(reg.regs) {
+	for _, name := range sortedKeys(reg.regs) {
 		sites := reg.regs[name]
 		for _, dup := range sites[1:] {
 			if inUnit(dup) {
@@ -125,7 +110,7 @@ func runFaultPath(p *Pass) {
 			p.Reportf(sites[0].pos, "failpoint %q has no failpoint.Inject site; a registered-but-unreachable failpoint is dead fault coverage", name)
 		}
 	}
-	for _, name := range sortedFpNames(reg.injects) {
+	for _, name := range sortedKeys(reg.injects) {
 		if len(reg.regs[name]) > 0 {
 			continue
 		}
@@ -137,142 +122,19 @@ func runFaultPath(p *Pass) {
 	}
 
 	// Swallowed-fault check: intraprocedural, per function and per closure.
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		parents := parentMap(file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkInjectFlow(p, parents, fd.Recv, fd.Type, fd.Body)
-			inspectFuncLits(fd.Body, func(fl *ast.FuncLit) {
-				checkInjectFlow(p, parents, nil, fl.Type, fl.Body)
-			})
-		}
-	}
+	eachFuncBody(p.Unit, func(fb *funcBody) { p.checkMustUse(injectMustUse, fb) })
 }
 
-// isInjectCall reports whether call is failpoint.Inject.
-func isInjectCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Inject" && isPkgIdent(info, sel.X, failpointPkgPath)
-}
-
-// checkInjectFlow verifies that each Inject result in one function body
-// reaches a real use: not discarded as a statement, not assigned to _, and
-// — when bound to a variable — read at some point its definition reaches.
-func checkInjectFlow(p *Pass, parents map[ast.Node]ast.Node, recv *ast.FieldList, ft *ast.FuncType, body *ast.BlockStmt) {
-	var injects []*ast.CallExpr
-	inspectShallow(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isInjectCall(p.Info, call) {
-			injects = append(injects, call)
-		}
-		return true
-	})
-	if len(injects) == 0 {
-		return
-	}
-	var reach *reaching
-	for _, call := range injects {
-		parent := parents[call]
-		for {
-			if pe, ok := parent.(*ast.ParenExpr); ok {
-				parent = parents[pe]
-				continue
-			}
-			break
-		}
-		switch pa := parent.(type) {
-		case *ast.ExprStmt:
-			p.Reportf(call.Pos(), "failpoint.Inject result discarded; the injected fault never propagates (swallowed fault path)")
-		case *ast.AssignStmt:
-			idx := -1
-			for i, rhs := range pa.Rhs {
-				if ast.Unparen(rhs) == call {
-					idx = i
-				}
-			}
-			if idx < 0 || idx >= len(pa.Lhs) {
-				continue
-			}
-			id, ok := pa.Lhs[idx].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if id.Name == "_" {
-				p.Reportf(call.Pos(), "failpoint.Inject result assigned to _; the injected fault never propagates (swallowed fault path)")
-				continue
-			}
-			obj := p.Info.ObjectOf(id)
-			if obj == nil {
-				continue
-			}
-			if reach == nil {
-				reach = newReaching(p.Info, recv, ft, body)
-			}
-			if !injectDefUsed(p.Info, parents, reach, body, pa, obj) {
-				p.Reportf(call.Pos(), "the error from failpoint.Inject is never read after this assignment; the injected fault never propagates (swallowed fault path)")
-			}
-		}
-	}
-}
-
-// injectDefUsed reports whether some use of obj is reached by the
-// definition made at def (the assignment binding the Inject result).
-// Identifiers appearing as plain assignment targets are not uses.
-func injectDefUsed(info *types.Info, parents map[ast.Node]ast.Node, reach *reaching, body *ast.BlockStmt, def *ast.AssignStmt, obj types.Object) bool {
-	used := false
-	inspectShallow(body, func(n ast.Node) bool {
-		if used {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || info.ObjectOf(id) != obj {
-			return true
-		}
-		if isAssignTarget(parents, id) {
-			return true
-		}
-		element := elementOf(reach, parents, id)
-		if element == nil {
-			return true
-		}
-		for _, d := range reach.defsAt(element, obj) {
-			if d.site == def {
-				used = true
-				return false
-			}
-		}
-		return true
-	})
-	return used
-}
-
-// isAssignTarget reports whether id is a bare left-hand side of an
-// assignment (a write, not a read).
-func isAssignTarget(parents map[ast.Node]ast.Node, id *ast.Ident) bool {
-	as, ok := parents[id].(*ast.AssignStmt)
-	if !ok {
-		return false
-	}
-	for _, lhs := range as.Lhs {
-		if lhs == id {
-			return true
-		}
-	}
-	return false
-}
-
-// elementOf climbs to the enclosing CFG element the reaching-defs solver
-// keyed its facts on.
-func elementOf(reach *reaching, parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	for cur := n; cur != nil; cur = parents[cur] {
-		if _, ok := reach.before[cur]; ok {
-			return cur
-		}
-	}
-	return nil
+// injectMustUse is the propagation contract as a must-use configuration:
+// each Inject result must reach a real use — not discarded as a statement,
+// not assigned to _, and, when bound to a variable, read at some point its
+// definition reaches.
+var injectMustUse = mustUse{
+	produces: func(p *Pass, call *ast.CallExpr) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Inject" && isPkgIdent(p.Info, sel.X, failpointPkgPath)
+	},
+	message: func(_ *Pass, _ *funcBody, _ *ast.CallExpr, d disposal) string {
+		return swallowedMessage("failpoint.Inject", "the injected fault never propagates (swallowed fault path)", d)
+	},
 }

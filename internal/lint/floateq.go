@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -9,11 +10,15 @@ import (
 
 // FloatEq flags `==` and `!=` between floating-point expressions outside
 // test files. Exact float comparison is almost always a rounding bug waiting
-// to happen; comparisons belong in an epsilon helper. Two escapes exist:
-// the body of an approved epsilon helper (a function whose name signals a
-// tolerance, e.g. almostEqual / withinEps) is skipped, and sites where exact
-// bit equality is the point (determinism checks, sort tie-breaks on already
-// identical inputs) carry a //lint:ignore floateq directive with a reason.
+// to happen; comparisons belong in an epsilon helper. Three escapes exist:
+// a comparison against the constant zero (`x == 0`, `0 != y`) is exempt —
+// it is the exact unset-sentinel / division-guard / sparsity-skip idiom, and
+// no tolerance would be right there; the body of an approved epsilon helper
+// (a function whose name signals a tolerance, e.g. almostEqual / withinEps)
+// is skipped; and sites where exact bit equality is the point (determinism
+// checks, sort tie-breaks on already identical inputs) carry a
+// //lint:ignore floateq directive with a reason. Comparisons against any
+// non-zero constant, or between two non-constants, stay findings.
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "flag exact ==/!= between floats outside tests and epsilon helpers",
@@ -26,27 +31,17 @@ var FloatEq = &Analyzer{
 var epsilonHelper = regexp.MustCompile(`(?i)(approx|almost|within|eps|tolerance|close)`)
 
 func runFloatEq(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		// The declaration's walk covers its literals; a closure assigned to
+		// an epsilon-named variable is rare enough to handle via suppression.
+		if fb.lit == nil && !epsilonHelper.MatchString(fb.decl.Name.Name) {
+			p.checkFloatEq(fb.body)
 		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if epsilonHelper.MatchString(fd.Name.Name) {
-				continue
-			}
-			p.checkFloatEq(fd.Body)
-		}
-	}
+	})
 }
 
 func (p *Pass) checkFloatEq(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		// Nested helpers: a closure assigned to an epsilon-named variable is
-		// rare enough to handle via suppression instead.
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 			return true
@@ -59,6 +54,9 @@ func (p *Pass) checkFloatEq(body *ast.BlockStmt) {
 		if tx.Value != nil && ty.Value != nil {
 			return true
 		}
+		if isZeroConst(tx) || isZeroConst(ty) {
+			return true
+		}
 		// x != x is the portable NaN test; leave it alone.
 		if types.ExprString(be.X) == types.ExprString(be.Y) {
 			return true
@@ -66,4 +64,10 @@ func (p *Pass) checkFloatEq(body *ast.BlockStmt) {
 		p.Reportf(be.OpPos, "exact floating-point %s comparison; use an epsilon helper, or suppress with a reason where bit-identity is intended", be.Op)
 		return true
 	})
+}
+
+// isZeroConst reports a constant operand, typed or untyped, whose value is
+// exactly zero.
+func isZeroConst(tv types.TypeAndValue) bool {
+	return tv.Value != nil && tv.Value.Kind() != constant.Unknown && constant.Sign(tv.Value) == 0
 }

@@ -241,7 +241,7 @@ func DirectiveUses(fset *token.FileSet, files []*ast.File) []DirectiveUse {
 				}
 				var analyzers []string
 				for _, name := range strings.Split(names, ",") {
-					if knownAnalyzers[name] {
+					if knownAnalyzer(name) {
 						analyzers = append(analyzers, name)
 					}
 				}

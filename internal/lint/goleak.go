@@ -34,20 +34,8 @@ var GoLeak = &Analyzer{
 }
 
 func runGoLeak(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			p.checkGoLeakFunc(fd.Body)
-			inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
-				p.checkGoLeakFunc(lit.Body)
-			})
-		}
+	eachFuncBody(p.Unit, func(fb *funcBody) { p.checkGoLeakFunc(fb.body) })
+	for _, file := range p.Unit.nonTestFiles() {
 		p.checkServerLiterals(file)
 	}
 }
@@ -100,9 +88,6 @@ func (p *Pass) checkGoLeakFunc(body *ast.BlockStmt) {
 // summary. Unresolvable spawn targets (function values, interface methods)
 // are skipped: no summary, no verdict.
 func (p *Pass) checkSpawnTermination(gs *ast.GoStmt) {
-	if p.Prog == nil {
-		return
-	}
 	var sum *FuncSummary
 	switch f := ast.Unparen(gs.Call.Fun).(type) {
 	case *ast.FuncLit:

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
-	"sort"
 )
 
 // GuardedBy verifies lock-discipline annotations. A struct field annotated
@@ -23,9 +21,12 @@ import (
 // restricts a field to method-call access (Load/Store/Add/CompareAndSwap on
 // the sync/atomic wrapper types), flagging copies or address escapes.
 //
-// The analysis is a per-function must-hold lattice walk over the CFG
-// (dataflow.go): branches intersect, so a lock taken on only one arm does
-// not count. Function literals start with no locks held — a closure may run
+// The held-lock facts come from the one must-hold flow of the suite
+// (heldLocks in lockorder.go): branches intersect, so a lock taken on only
+// one arm does not count; deferred unlocks run at function exit, so the
+// Lock-then-defer-Unlock idiom keeps the lock held below; a lock()-helper
+// callee's HeldAtExit classes count as held after the call. Function
+// literals start with no locks held — a closure may run
 // on another goroutine — so guarded accesses inside pool workers must either
 // lock or carry an audited //lint:ignore with the reason the access is safe.
 // Composite literals (the value under construction is not yet shared) and
@@ -36,65 +37,8 @@ var GuardedBy = &Analyzer{
 	Run:  runGuardedBy,
 }
 
-var (
-	guardedByRe = regexp.MustCompile(`^//\s*qb5000:guardedby\s+(\S+)\s*$`)
-	lockedRe    = regexp.MustCompile(`^//\s*qb5000:locked\s+(\S+)\s*$`)
-)
-
 // guardAtomic is the reserved guard name for atomics.
 const guardAtomic = "atomic"
-
-// lockSet is the must-hold fact: keys are "<base>.<mutexField>" rendered
-// from the access path (e.g. "c.mu"), so distinct receivers of the same
-// type stay distinct.
-type lockSet map[string]bool
-
-func (s lockSet) with(key string) lockSet {
-	if s[key] {
-		return s
-	}
-	n := make(lockSet, len(s)+1)
-	for k := range s {
-		n[k] = true
-	}
-	n[key] = true
-	return n
-}
-
-func (s lockSet) without(key string) lockSet {
-	if !s[key] {
-		return s
-	}
-	n := make(lockSet, len(s))
-	for k := range s {
-		if k != key {
-			n[k] = true
-		}
-	}
-	return n
-}
-
-func joinLocks(a, b lockSet) lockSet {
-	out := make(lockSet)
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func equalLocks(a, b lockSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
 
 // isMutexType reports whether t is sync.Mutex, sync.RWMutex, or a pointer to
 // one.
@@ -116,57 +60,9 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// lockTransfer updates the held-lock set for one element node: calls of the
-// form <base>.<mutexField>.Lock/RLock add "<base>.<mutexField>", Unlock and
-// RUnlock remove it. Deferred unlocks run at function exit, so DeferStmt
-// elements leave the set unchanged, which is exactly the
-// Lock-then-defer-Unlock idiom's semantics. Lock calls inside nested
-// function literals do not affect the enclosing function.
-func lockTransfer(p *Pass, f lockSet, n ast.Node) lockSet {
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return f
-	}
-	inspectShallow(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		var op int // +1 acquire, -1 release
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			op = +1
-		case "Unlock", "RUnlock":
-			op = -1
-		default:
-			return true
-		}
-		if !isMutexType(p.Info.TypeOf(sel.X)) {
-			return true
-		}
-		key := types.ExprString(sel.X)
-		if op > 0 {
-			f = f.with(key)
-		} else {
-			f = f.without(key)
-		}
-		return true
-	})
-	return f
-}
-
-// guardInfo is one annotated field.
-type guardInfo struct {
-	field *types.Var // the guarded field
-	guard string     // sibling mutex field name, or "atomic"
-}
-
 // guardTable holds the package's annotations.
 type guardTable struct {
-	fields map[*types.Var]*guardInfo
+	fields map[*types.Var]string   // guarded field → sibling mutex field name, or "atomic"
 	locked map[types.Object]string // method → mutex field assumed held
 }
 
@@ -175,7 +71,7 @@ type guardTable struct {
 // annotation without a receiver) so the grammar stays auditable.
 func collectGuards(p *Pass) *guardTable {
 	t := &guardTable{
-		fields: make(map[*types.Var]*guardInfo),
+		fields: make(map[*types.Var]string),
 		locked: make(map[types.Object]string),
 	}
 	for _, file := range p.Files {
@@ -185,17 +81,18 @@ func collectGuards(p *Pass) *guardTable {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				guard := annotationIn(guardedByRe, field.Doc, field.Comment)
-				if guard == "" {
+				args := annotationsIn(onField, field.Doc, field.Comment)["guardedby"]
+				if args == nil {
 					continue
 				}
+				guard := args[0]
 				if guard != guardAtomic && !structHasMutex(p, st, guard) {
 					p.Reportf(field.Pos(), "qb5000:guardedby names %q, which is not a sync.Mutex/RWMutex field of this struct (or the literal %q)", guard, guardAtomic)
 					continue
 				}
 				for _, name := range field.Names {
 					if v, ok := p.Info.Defs[name].(*types.Var); ok {
-						t.fields[v] = &guardInfo{field: v, guard: guard}
+						t.fields[v] = guard
 					}
 				}
 			}
@@ -206,10 +103,11 @@ func collectGuards(p *Pass) *guardTable {
 			if !ok {
 				continue
 			}
-			guard := annotationIn(lockedRe, fd.Doc, nil)
-			if guard == "" {
+			args := p.Prog.Graph.NodeFor(fd).ann["locked"]
+			if args == nil {
 				continue
 			}
+			guard := args[0]
 			if fd.Recv == nil || len(fd.Recv.List) == 0 {
 				p.Reportf(fd.Pos(), "qb5000:locked %s on a function without a receiver; the annotation declares a receiver-held lock", guard)
 				continue
@@ -220,20 +118,6 @@ func collectGuards(p *Pass) *guardTable {
 		}
 	}
 	return t
-}
-
-func annotationIn(re *regexp.Regexp, groups ...*ast.CommentGroup) string {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if m := re.FindStringSubmatch(c.Text); m != nil {
-				return m[1]
-			}
-		}
-	}
-	return ""
 }
 
 // structHasMutex reports whether the struct literally declares a mutex field
@@ -254,87 +138,40 @@ func runGuardedBy(p *Pass) {
 	if len(guards.fields) == 0 && len(guards.locked) == 0 {
 		return
 	}
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		parents := parentMap(file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			entry := lockSet{}
-			if guard, ok := guards.locked[p.Info.Defs[fd.Name]]; ok {
-				if recv := receiverName(fd); recv != "" {
-					entry = entry.with(recv + "." + guard)
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		parents := p.parents(fb.file)
+		reported := make(map[ast.Node]bool)
+		heldLocks(p.Prog, p.Unit, fb, nil, func(n ast.Node, held heldFact) {
+			// Elements synthesized for `range` clauses reuse sub-expressions of
+			// the real statement; dedupe so a node is checked once.
+			inspectShallow(n, func(m ast.Node) bool {
+				if reported[m] {
+					return true
 				}
-			}
-			p.checkLockedBody(guards, parents, fd.Body, entry)
-			// Closures nested in the declaration run with no locks held:
-			// they may execute on a different goroutine (worker pools).
-			inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
-				p.checkLockedBody(guards, parents, lit.Body, lockSet{})
-			})
-		}
-	}
-}
-
-func receiverName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// inspectFuncLits calls f for every function literal under root, including
-// literals nested in other literals.
-func inspectFuncLits(root ast.Node, f func(*ast.FuncLit)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			f(lit)
-		}
-		return true
-	})
-}
-
-// checkLockedBody runs the must-hold analysis over one function body and
-// reports guarded-field accesses and qb5000:locked call sites where the
-// required lock is not provably held.
-func (p *Pass) checkLockedBody(guards *guardTable, parents map[ast.Node]ast.Node, body *ast.BlockStmt, entry lockSet) {
-	g := buildCFG(body)
-	transfer := func(f lockSet, n ast.Node) lockSet { return lockTransfer(p, f, n) }
-	reported := make(map[ast.Node]bool)
-	forwardFlow(g, entry, transfer, joinLocks, equalLocks, func(n ast.Node, held lockSet) {
-		// Elements synthesized for `range` clauses reuse sub-expressions of
-		// the real statement; dedupe so a node is checked once.
-		inspectShallow(n, func(m ast.Node) bool {
-			if reported[m] {
+				switch x := m.(type) {
+				case *ast.SelectorExpr:
+					p.checkGuardedSelector(guards, parents, x, held, reported)
+				case *ast.CallExpr:
+					p.checkLockedCall(guards, x, held, reported)
+				}
 				return true
-			}
-			switch x := m.(type) {
-			case *ast.SelectorExpr:
-				p.checkGuardedSelector(guards, parents, x, held, reported)
-			case *ast.CallExpr:
-				p.checkLockedCall(guards, x, held, reported)
-			}
-			return true
+			})
 		})
 	})
 }
 
 // checkGuardedSelector validates one <base>.<field> access against the
 // annotation table.
-func (p *Pass) checkGuardedSelector(guards *guardTable, parents map[ast.Node]ast.Node, sel *ast.SelectorExpr, held lockSet, reported map[ast.Node]bool) {
+func (p *Pass) checkGuardedSelector(guards *guardTable, parents map[ast.Node]ast.Node, sel *ast.SelectorExpr, held heldFact, reported map[ast.Node]bool) {
 	obj, ok := p.Info.Uses[sel.Sel].(*types.Var)
 	if !ok {
 		return
 	}
-	gi, ok := guards.fields[obj]
+	guard, ok := guards.fields[obj]
 	if !ok {
 		return
 	}
-	if gi.guard == guardAtomic {
+	if guard == guardAtomic {
 		// The only sanctioned shape is a method call on the field:
 		// base.field.Load() etc. Anything else (copy, address-of, direct
 		// state access) defeats the atomic wrapper.
@@ -347,18 +184,18 @@ func (p *Pass) checkGuardedSelector(guards *guardTable, parents map[ast.Node]ast
 		p.Reportf(sel.Pos(), "field %s is qb5000:guardedby atomic and must only be used through its atomic method calls (Load/Store/Add/CompareAndSwap)", sel.Sel.Name)
 		return
 	}
-	key := types.ExprString(sel.X) + "." + gi.guard
-	if held[key] {
+	key := types.ExprString(sel.X) + "." + guard
+	if _, ok := held[key]; ok {
 		return
 	}
 	reported[sel] = true
 	p.Reportf(sel.Pos(), "access to %s.%s (qb5000:guardedby %s) without holding %s on every path; lock it, or mark the enclosing method // qb5000:locked %s",
-		types.ExprString(sel.X), sel.Sel.Name, gi.guard, key, gi.guard)
+		types.ExprString(sel.X), sel.Sel.Name, guard, key, guard)
 }
 
 // checkLockedCall validates a call to a qb5000:locked method: the caller
 // must hold the receiver's declared mutex.
-func (p *Pass) checkLockedCall(guards *guardTable, call *ast.CallExpr, held lockSet, reported map[ast.Node]bool) {
+func (p *Pass) checkLockedCall(guards *guardTable, call *ast.CallExpr, held heldFact, reported map[ast.Node]bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -372,27 +209,10 @@ func (p *Pass) checkLockedCall(guards *guardTable, call *ast.CallExpr, held lock
 		return
 	}
 	key := types.ExprString(sel.X) + "." + guard
-	if held[key] {
+	if _, ok := held[key]; ok {
 		return
 	}
 	reported[call] = true
 	p.Reportf(call.Pos(), "call to %s requires %s held (qb5000:locked %s in its declaration)",
 		types.ExprString(call.Fun), key, guard)
-}
-
-// GuardAnnotations returns a human-readable inventory of the package's
-// guardedby/locked annotations — used by the driver's -debt report to show
-// how much of the tree is under lock-discipline checking.
-func GuardAnnotations(pkg *Package) []string {
-	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, analyzer: GuardedBy}
-	t := collectGuards(pass)
-	var out []string
-	for v, gi := range t.fields {
-		out = append(out, v.Name()+" guardedby "+gi.guard)
-	}
-	for m, guard := range t.locked {
-		out = append(out, m.Name()+" locked "+guard)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -35,7 +35,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -46,93 +45,37 @@ var HandleLife = &Analyzer{
 }
 
 func runHandleLife(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			p.checkHandleFunc(fd.Body)
-			inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
-				p.checkHandleFunc(lit.Body)
-			})
-		}
-	}
+	eachFuncBody(p.Unit, func(fb *funcBody) { p.checkHandleFunc(fb.body) })
 }
 
-// handleFact maps each obligated variable to its open site. Persistent:
-// the transfer copies before mutating.
-type handleFact map[types.Object]token.Pos
-
-func (p *Pass) summaries() map[string]*FuncSummary {
-	if p.Prog == nil {
-		return nil
-	}
-	return p.Prog.Summaries
-}
-
-// checkHandleFunc runs the obligation flow over one body and reports what
-// survives to the exit.
+// checkHandleFunc configures the obligation engine for handles: the fact
+// maps each obligated variable to its open site, and what survives to the
+// exit is reported there.
 func (p *Pass) checkHandleFunc(body *ast.BlockStmt) {
-	g := buildCFG(body)
-	sums := p.summaries()
-	transfer := func(f handleFact, n ast.Node) handleFact {
-		return p.handleTransfer(f, n, sums)
-	}
-	exit, reachable := forwardFlow(g, handleFact{}, transfer, joinHandles, equalHandles, nil)
-	if !reachable {
-		return
-	}
-	type leak struct {
-		pos  token.Pos
-		name string
-	}
-	var leaks []leak
-	for obj, pos := range exit {
-		leaks = append(leaks, leak{pos, obj.Name()})
-	}
-	sort.Slice(leaks, func(i, j int) bool { return leaks[i].pos < leaks[j].pos })
-	for _, l := range leaks {
-		p.Reportf(l.pos, "%s is opened here but not closed on every path; close it, return it, or hand it to an owner", l.name)
-	}
-}
-
-// handleTransfer applies one element's effect on the obligation set.
-func (p *Pass) handleTransfer(f handleFact, n ast.Node, sums map[string]*FuncSummary) handleFact {
-	if len(f) > 0 {
-		f = p.dischargeUses(f, n, sums)
-	}
-	switch st := n.(type) {
-	case *ast.ReturnStmt:
-		if p.isErrorReturn(st) {
-			return handleFact{}
-		}
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok && isExitingCall(p.Info, call, sums) {
-			return handleFact{}
-		}
-	case *ast.AssignStmt:
-		// Mint obligations after use-analysis so `f, err := os.Open(p)`
-		// doesn't immediately discharge itself.
-		if len(st.Rhs) == 1 && len(st.Lhs) > 0 {
+	sums := p.Prog.Summaries
+	checkObligations(p, body, obligation[types.Object]{
+		join: setFact[types.Object, token.Pos].union,
+		mint: func(n ast.Node, add func(types.Object, token.Pos)) {
+			st, ok := n.(*ast.AssignStmt)
+			if !ok || len(st.Rhs) != 1 {
+				return
+			}
 			if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok && isOpenerCall(p.Info, call, sums) {
 				if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 					if obj := p.Info.ObjectOf(id); obj != nil {
-						nf := make(handleFact, len(f)+1)
-						for k, v := range f {
-							nf[k] = v
-						}
-						nf[obj] = call.Pos()
-						return nf
+						add(obj, call.Pos())
 					}
 				}
 			}
-		}
-	}
-	return f
+		},
+		discharge: func(f setFact[types.Object, token.Pos], n ast.Node) setFact[types.Object, token.Pos] {
+			return p.dischargeUses(f, n, sums)
+		},
+		forgiven: func(ret *ast.ReturnStmt, _ types.Object) bool { return p.isErrorReturn(ret) },
+		leak: func(obj types.Object) string {
+			return obj.Name() + " is opened here but not closed on every path; close it, return it, or hand it to an owner"
+		},
+	})
 }
 
 // dischargeUses scans one element's subtree for uses of obligated variables
@@ -140,7 +83,7 @@ func (p *Pass) handleTransfer(f handleFact, n ast.Node, sums map[string]*FuncSum
 // Close and ownership transfers discharge; method calls on the handle and
 // non-owner wrappers keep it; any unclassified appearance is an escape and
 // discharges (path-local reasoning cannot follow a stored handle).
-func (p *Pass) dischargeUses(f handleFact, n ast.Node, sums map[string]*FuncSummary) handleFact {
+func (p *Pass) dischargeUses(f setFact[types.Object, token.Pos], n ast.Node, sums map[string]*FuncSummary) setFact[types.Object, token.Pos] {
 	obligated := func(e ast.Expr) types.Object {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
@@ -229,16 +172,10 @@ func (p *Pass) dischargeUses(f handleFact, n ast.Node, sums map[string]*FuncSumm
 		}
 		return true
 	})
-	if len(discharged) == 0 {
-		return f
+	for obj := range discharged {
+		f = f.without(obj)
 	}
-	nf := make(handleFact, len(f))
-	for k, v := range f {
-		if !discharged[k] {
-			nf[k] = v
-		}
-	}
-	return nf
+	return f
 }
 
 // isErrorReturn reports whether the return carries a live error value (an
@@ -296,9 +233,6 @@ func (p *Pass) isNonOwnerCall(call *ast.CallExpr) bool {
 // loadedCalleeCloses reports whether the call's static callee is loaded and
 // closes its j-th parameter per its summary.
 func (p *Pass) loadedCalleeCloses(call *ast.CallExpr, j int, sums map[string]*FuncSummary) bool {
-	if sums == nil {
-		return false
-	}
 	tf := staticCallee(p.Info, call)
 	if tf == nil {
 		return false
@@ -310,37 +244,9 @@ func (p *Pass) loadedCalleeCloses(call *ast.CallExpr, j int, sums map[string]*Fu
 // isLoadedCallee reports whether the call's static callee has a summary
 // (i.e. its body was part of this analysis run).
 func (p *Pass) isLoadedCallee(call *ast.CallExpr, sums map[string]*FuncSummary) bool {
-	if sums == nil {
-		return false
-	}
 	tf := staticCallee(p.Info, call)
 	if tf == nil {
 		return false
 	}
 	return sums[funcID(tf)] != nil
-}
-
-func joinHandles(a, b handleFact) handleFact {
-	out := make(handleFact, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equalHandles(a, b handleFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
 }

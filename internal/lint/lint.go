@@ -57,8 +57,7 @@ type Pass struct {
 	Info  *types.Info
 
 	// Prog is the interprocedural context (call graph + summaries) shared by
-	// every unit of the run. The summary-based analyzers degrade to their
-	// purely local checks when it is nil.
+	// every unit of the run.
 	Prog *Program
 
 	// Unit is the package unit under analysis, so program-wide analyzers
@@ -67,6 +66,18 @@ type Pass struct {
 
 	analyzer *Analyzer
 	findings []Finding
+	// parentMaps caches parents' per-file result across the analyzers of a run.
+	parentMaps map[*ast.File]map[ast.Node]ast.Node
+}
+
+// parents returns each node's parent within file, computed once per run.
+func (p *Pass) parents(file *ast.File) map[ast.Node]ast.Node {
+	m, ok := p.parentMaps[file]
+	if !ok {
+		m = parentMap(file)
+		p.parentMaps[file] = m
+	}
+	return m
 }
 
 // Reportf records a finding for the running analyzer.
@@ -112,7 +123,8 @@ func Run(pkg *Package, analyzers []*Analyzer) []Finding {
 // findings that survive //lint:ignore suppression, plus any
 // directive-hygiene findings, sorted by position.
 func (prog *Program) Run(pkg *Package, analyzers []*Analyzer) []Finding {
-	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Prog: prog, Unit: pkg}
+	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Prog: prog, Unit: pkg,
+		parentMaps: make(map[*ast.File]map[ast.Node]ast.Node)}
 	for _, a := range analyzers {
 		pass.analyzer = a
 		a.Run(pass)
@@ -169,32 +181,24 @@ func (s suppressions) suppresses(f Finding) bool {
 	return lines[f.Pos.Line] || lines[f.Pos.Line-1]
 }
 
-// knownAnalyzers validates directive names against the full suite, so a
+// knownAnalyzer validates directive names against the full suite, so a
 // fixture run with a single analyzer still accepts directives for the rest.
-var knownAnalyzers = func() map[string]bool {
-	m := make(map[string]bool, len(All))
+func knownAnalyzer(name string) bool {
 	for _, a := range All {
-		m[a.Name] = true
+		if a.Name == name {
+			return true
+		}
 	}
-	return m
-}()
+	return false
+}
 
-// annotationKeyRe matches the key of any qb5000: source annotation. It is
-// anchored so the indented example blocks in doc comments (`//\t// qb5000:…`)
-// do not match.
-var annotationKeyRe = regexp.MustCompile(`^//\s*qb5000:([A-Za-z0-9_-]+)`)
-
-// knownAnnotationKeys is the full annotation grammar; a typo'd key
-// (qb5000:noalock) would otherwise be silently ignored, quietly voiding the
-// contract it meant to declare.
-var knownAnnotationKeys = map[string]bool{
-	"bounded":   true,
-	"durable":   true,
-	"guardedby": true,
-	"locked":    true,
-	"lockorder": true,
-	"noalloc":   true,
-	"serving":   true,
+// analyzerNames renders the suite's names, in All's order, for diagnostics.
+func analyzerNames() string {
+	names := make([]string, len(All))
+	for i, a := range All {
+		names[i] = a.Name
+	}
+	return strings.Join(names, ", ")
 }
 
 // directives scans comments for //lint:ignore markers. It returns the
@@ -210,8 +214,8 @@ func directives(fset *token.FileSet, files []*ast.File) (suppressions, []Finding
 	for _, file := range files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				if km := annotationKeyRe.FindStringSubmatch(c.Text); km != nil && !knownAnnotationKeys[km[1]] {
-					report(c.Pos(), "unknown qb5000: annotation key %q (known: bounded, durable, guardedby, locked, lockorder, noalloc, serving)", km[1])
+				if km := annotationKeyRe.FindStringSubmatch(c.Text); km != nil && annotationSpecFor(km[1]) == nil {
+					report(c.Pos(), "unknown qb5000: annotation key %q (known: %s)", km[1], annotationKeys())
 					continue
 				}
 				m := ignoreRe.FindStringSubmatch(c.Text)
@@ -229,8 +233,8 @@ func directives(fset *token.FileSet, files []*ast.File) (suppressions, []Finding
 				}
 				pos := fset.Position(c.Pos())
 				for _, name := range strings.Split(names, ",") {
-					if !knownAnalyzers[name] {
-						report(c.Pos(), "lint:ignore names unknown analyzer %q (known: seededrand, noclock, maporder, ctxfirst, floateq, guardedby, sliceshare, errflow, goleak, ctxprop, handlelife, lockorder, noalloc, durable, faultpath, bounded, shedflow)", name)
+					if !knownAnalyzer(name) {
+						report(c.Pos(), "lint:ignore names unknown analyzer %q (known: %s)", name, analyzerNames())
 						continue
 					}
 					sup.add(name, pos.Filename, pos.Line)

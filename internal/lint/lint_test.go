@@ -183,3 +183,73 @@ func d() {
 		t.Errorf("suppression leaked to an analyzer the directive does not name")
 	}
 }
+
+// TestDiagnosticListsDerived pins the "known: …" lists inside hygiene
+// findings to their sources — All for analyzers, annotationTable for
+// annotation keys — so the text cannot drift from the registries again.
+func TestDiagnosticListsDerived(t *testing.T) {
+	src := `package p
+
+//lint:ignore bogusname because I said so
+var a = 1
+
+// qb5000:noalock typo'd key
+var b = 2
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "lists.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, bad := directives(fset, []*ast.File{file})
+	if len(bad) != 2 {
+		t.Fatalf("got %d hygiene findings, want 2: %v", len(bad), bad)
+	}
+	var analyzers, keys []string
+	for _, a := range All {
+		analyzers = append(analyzers, a.Name)
+	}
+	for _, spec := range annotationTable {
+		keys = append(keys, spec.key)
+	}
+	if len(analyzers) != 17 {
+		t.Errorf("All registers %d analyzers, want 17: %v", len(analyzers), analyzers)
+	}
+	for i, want := range []string{
+		"(known: " + strings.Join(analyzers, ", ") + ")",
+		"(known: " + strings.Join(keys, ", ") + ")",
+	} {
+		if !strings.HasSuffix(bad[i].Message, want) {
+			t.Errorf("finding %d = %q, want it to end with %q", i, bad[i].Message, want)
+		}
+	}
+}
+
+// debtCeiling is the checked-in cap on //lint:ignore references tree-wide
+// (qb5000vet -debt's total). Lower it when debt is paid; raising it needs the
+// same scrutiny as adding a suppression.
+const debtCeiling = 30
+
+// TestSuppressionDebtCeiling loads the tree as BenchmarkVetTree does and
+// fails if the suppression inventory exceeds the ceiling, so a cleanup
+// cannot silently regrow.
+func TestSuppressionDebtCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	pkgs, err := LoadPackages("../..", "./...")
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	seen := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, use := range DirectiveUses(pkg.Fset, pkg.Files) {
+			for _, a := range use.Analyzers {
+				seen[fmt.Sprintf("%s:%d:%s", use.Pos.Filename, use.Pos.Line, a)] = true
+			}
+		}
+	}
+	if len(seen) > debtCeiling {
+		t.Errorf("%d //lint:ignore references exceed the ceiling of %d; run `qb5000vet -debt ./...` and pay the new debt down (or narrow the rule) instead of suppressing", len(seen), debtCeiling)
+	}
+}

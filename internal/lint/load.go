@@ -35,6 +35,18 @@ type Package struct {
 	TypeErrors []error
 }
 
+// nonTestFiles returns the unit's files other than _test.go files, which
+// most analyzers exempt.
+func (u *Package) nonTestFiles() []*ast.File {
+	var out []*ast.File
+	for _, file := range u.Files {
+		if !strings.HasSuffix(u.Fset.Position(file.Pos()).Filename, "_test.go") {
+			out = append(out, file)
+		}
+	}
+	return out
+}
+
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	Dir          string

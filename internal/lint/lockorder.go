@@ -6,14 +6,14 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"regexp"
 	"sort"
 	"strings"
 )
 
-// LockOrder is the interprocedural deadlock analyzer. It reuses the
-// guardedby lock-set dataflow to track which mutexes are held at every
-// program point, resolves each mutex to a program-wide identity class
+// LockOrder is the interprocedural deadlock analyzer. It runs the held-lock
+// flow (heldLocks, which guardedby and sliceshare read too) to track which
+// mutexes are held at every program point, resolves each mutex to a
+// program-wide identity class
 // ("pkg.Type.field" for struct fields, "pkg.var" for package-level vars),
 // and derives three kinds of findings:
 //
@@ -46,18 +46,12 @@ import (
 // methods contribute their nested acquisitions to the graph under the
 // caller's lock. Callees whose HeldAtExit summary is non-empty (lock
 // helpers) thread those classes into the caller's held set. Function
-// literals start with no locks held, mirroring guardedby. _test.go files
-// are exempt.
+// literals start with no locks held. _test.go files are exempt.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "lock-acquisition order must be acyclic; no self-deadlocks or blocking calls under a held lock",
 	Run:  runLockOrder,
 }
-
-var (
-	lockOrderRe       = regexp.MustCompile(`^//\s*qb5000:lockorder\s+(\S+)\s*<\s*(\S+)\s*$`)
-	lockOrderPrefixRe = regexp.MustCompile(`^//\s*qb5000:lockorder\b`)
-)
 
 // lockClassOf resolves the program-wide identity class of a mutex
 // expression: "pkg.Type.field" when the mutex is a named struct's field
@@ -107,64 +101,23 @@ type heldLock struct {
 	mode  byte // 'R' or 'W'
 }
 
-// heldFact maps expression-rendered mutex keys ("c.mu") to the held lock.
-// Facts are persistent: with/without copy before mutating.
-type heldFact map[string]heldLock
-
-func (f heldFact) with(key string, l heldLock) heldFact {
-	if have, ok := f[key]; ok && have == l {
-		return f
-	}
-	n := make(heldFact, len(f)+1)
-	for k, v := range f {
-		n[k] = v
-	}
-	n[key] = l
-	return n
-}
-
-func (f heldFact) without(key string) heldFact {
-	if _, ok := f[key]; !ok {
-		return f
-	}
-	n := make(heldFact, len(f))
-	for k, v := range f {
-		if k != key {
-			n[k] = v
-		}
-	}
-	return n
-}
+// heldFact is the must-hold fact: it maps expression-rendered mutex keys
+// ("c.mu", so distinct receivers of one type stay distinct) to the held
+// lock.
+type heldFact = setFact[string, heldLock]
 
 // joinHeld intersects (must-analysis). When the two paths disagree on mode,
 // the read mode wins: it is the weaker claim, and a later Lock on the merged
 // fact then reports the upgrade that is real on at least one path.
 func joinHeld(a, b heldFact) heldFact {
-	out := make(heldFact)
-	for k, la := range a {
-		lb, ok := b[k]
-		if !ok {
-			continue
-		}
-		l := la
-		if lb.mode == 'R' {
+	out := a.intersect(b)
+	for k, l := range out {
+		if b[k].mode == 'R' {
 			l.mode = 'R'
+			out[k] = l
 		}
-		out[k] = l
 	}
 	return out
-}
-
-func equalHeld(a, b heldFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, la := range a {
-		if lb, ok := b[k]; !ok || la != lb {
-			return false
-		}
-	}
-	return true
 }
 
 // A LockEdge is one ordering observation (or declaration) between two lock
@@ -196,9 +149,6 @@ func (prog *Program) LockGraph() *LockOrderGraph {
 }
 
 func runLockOrder(p *Pass) {
-	if p.Prog == nil || p.Unit == nil {
-		return
-	}
 	g := p.Prog.LockGraph()
 	for _, f := range g.unitFindings[p.Unit.Path] {
 		f.Analyzer = p.analyzer.Name
@@ -257,43 +207,44 @@ func buildLockGraph(prog *Program) *LockOrderGraph {
 	}
 	for _, u := range prog.Units {
 		sink.unit = u
-		for _, file := range u.Files {
-			if strings.HasSuffix(u.Fset.Position(file.Pos()).Filename, "_test.go") {
-				continue
-			}
+		for _, file := range u.nonTestFiles() {
 			collectDeclaredOrder(sink, file)
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				entry := heldFact{}
-				if guard := annotationIn(lockedRe, fd.Doc, nil); guard != "" {
-					if recv := receiverName(fd); recv != "" {
-						entry = entry.with(recv+"."+guard, heldLock{class: lockedClass(u, fd, guard), mode: 'W'})
-					}
-				}
-				analyzeLockBody(sink, prog, u, fd.Body, entry)
-				// Closures start with no locks held (they may run on another
-				// goroutine), exactly like guardedby.
-				inspectFuncLits(fd.Body, func(lit *ast.FuncLit) {
-					analyzeLockBody(sink, prog, u, lit.Body, heldFact{})
-				})
-			}
 		}
+		eachFuncBody(u, func(fb *funcBody) {
+			vc := &visitCtx{sink: sink, nonBlocking: nonBlockingChanOps(fb.body), reported: make(map[ast.Node]bool)}
+			heldLocks(prog, u, fb, vc, nil)
+		})
 	}
 	closeLockGraph(sink)
 	return sink.graph
 }
 
-// lockedClass renders the identity class a qb5000:locked annotation pins:
-// the receiver's named type plus the declared guard field.
-func lockedClass(u *Package, fd *ast.FuncDecl, guard string) string {
-	name := recvName(fd.Recv.List[0].Type)
-	if name == "" {
+// lockedEntry is the fact a body starts with. A declaration annotated
+// qb5000:locked <mu> starts with the receiver's <mu> write-held, under the
+// identity class of the receiver's named type; everything else — function
+// literals included, since a closure may run on another goroutine — starts
+// with no locks held.
+func lockedEntry(prog *Program, u *Package, fb *funcBody) heldFact {
+	if fb.lit != nil {
+		return heldFact{}
+	}
+	recv := receiverName(fb.decl)
+	args := prog.Graph.NodeFor(fb.decl).ann["locked"]
+	if args == nil || recv == "" {
+		return heldFact{}
+	}
+	class := ""
+	if name := recvName(fb.decl.Recv.List[0].Type); name != "" {
+		class = u.Types.Name() + "." + name + "." + args[0]
+	}
+	return heldFact{recv + "." + args[0]: {class: class, mode: 'W'}}
+}
+
+func receiverName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return ""
 	}
-	return u.Types.Name() + "." + name + "." + guard
+	return fd.Recv.List[0].Names[0].Name
 }
 
 // collectDeclaredOrder scans a file's comments for qb5000:lockorder
@@ -301,21 +252,16 @@ func lockedClass(u *Package, fd *ast.FuncDecl, guard string) string {
 // malformed ones.
 func collectDeclaredOrder(sink *lockSink, file *ast.File) {
 	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !lockOrderPrefixRe.MatchString(c.Text) {
-				continue
-			}
-			m := lockOrderRe.FindStringSubmatch(c.Text)
-			if m == nil {
+		scanAnnotations(anywhere, cg.List, func(c *ast.Comment, _ string, args []string) {
+			switch {
+			case args == nil:
 				sink.report(c.Pos(), "malformed qb5000:lockorder annotation; use // qb5000:lockorder <classA> < <classB>")
-				continue
+			case args[0] == args[1]:
+				sink.report(c.Pos(), "qb5000:lockorder declares %s < itself; an order must relate two distinct lock classes", args[0])
+			default:
+				sink.edge(args[0], args[1], c.Pos(), true, false)
 			}
-			if m[1] == m[2] {
-				sink.report(c.Pos(), "qb5000:lockorder declares %s < itself; an order must relate two distinct lock classes", m[1])
-				continue
-			}
-			sink.edge(m[1], m[2], c.Pos(), true, false)
-		}
+		})
 	}
 }
 
@@ -327,19 +273,23 @@ type visitCtx struct {
 	reported    map[ast.Node]bool
 }
 
-func analyzeLockBody(sink *lockSink, prog *Program, u *Package, body *ast.BlockStmt, entry heldFact) {
-	g := buildCFG(body)
-	goDefer := goDeferOperands(body)
-	vc := &visitCtx{
-		sink:        sink,
-		nonBlocking: nonBlockingChanOps(body),
-		reported:    make(map[ast.Node]bool),
-	}
+// heldLocks solves the held-lock flow over one function body and replays
+// it. It is the one lock-set flow of the suite: with vc set the replay
+// reports lockorder's findings and order edges; visit, when set, sees every
+// element with the locks provably held on every path into it (guardedby,
+// sliceshare).
+func heldLocks(prog *Program, u *Package, fb *funcBody, vc *visitCtx, visit func(ast.Node, heldFact)) {
+	goDefer := goDeferOperands(fb.body)
 	transfer := func(f heldFact, n ast.Node) heldFact {
 		return lockStep(prog, u, f, n, goDefer, nil)
 	}
-	forwardFlow(g, entry, transfer, joinHeld, equalHeld, func(n ast.Node, f heldFact) {
-		lockStep(prog, u, f, n, goDefer, vc)
+	forwardFlow(buildCFG(fb.body), lockedEntry(prog, u, fb), transfer, joinHeld, heldFact.equal, func(n ast.Node, f heldFact) {
+		if vc != nil {
+			lockStep(prog, u, f, n, goDefer, vc)
+		}
+		if visit != nil {
+			visit(n, f)
+		}
 	})
 }
 
@@ -451,14 +401,7 @@ func chanOpUnderLock(vc *visitCtx, node ast.Node, pos token.Pos, what string, he
 }
 
 // heldList renders the held set deterministically for messages.
-func heldList(held heldFact) string {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
-}
+func heldList(held heldFact) string { return strings.Join(sortedKeys(held), ", ") }
 
 // lockCall applies one call's effect on the held set and, when vc is set,
 // reports the deadlock shapes it witnesses.
@@ -514,7 +457,7 @@ func lockCall(prog *Program, u *Package, f heldFact, call *ast.CallExpr, vc *vis
 	}
 	// A lock()-helper callee leaves locks held: thread them into the fact so
 	// the matching later Unlock (keyed the same way) releases them.
-	for _, class := range sortedClassList(cs.HeldAtExit) {
+	for _, class := range sortedKeys(cs.HeldAtExit) {
 		f = f.with(heldKeyFor(call, class), heldLock{class: class, mode: 'W'})
 	}
 	return f
@@ -560,7 +503,8 @@ func reportCalleeAcquires(vc *visitCtx, call *ast.CallExpr, tf *types.Func, cs *
 			heldClasses[hl.class] = k
 		}
 	}
-	for _, class := range sortedClassList(cs.Acquires) {
+	heldSorted := sortedKeys(heldClasses)
+	for _, class := range sortedKeys(cs.Acquires) {
 		if k, ok := heldClasses[class]; ok {
 			// The callee leaving this class held is the lock()-helper shape:
 			// it acquires the caller's lock on the caller's behalf only when
@@ -568,31 +512,10 @@ func reportCalleeAcquires(vc *visitCtx, call *ast.CallExpr, tf *types.Func, cs *
 			vc.sink.report(call.Pos(), "call to %s may acquire %s while %s (same lock class) is held: possible self-deadlock if it is the same lock", tf.Name(), class, k)
 			continue
 		}
-		for _, from := range sortedClassValues(heldClasses) {
+		for _, from := range heldSorted {
 			vc.sink.edge(from, class, call.Pos(), false, true)
 		}
 	}
-}
-
-func sortedClassList(set map[string]bool) []string {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedClassValues(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // heldKeyFor renders the held-set key for a class a callee left locked: the
@@ -626,7 +549,14 @@ func closeLockGraph(sink *lockSink) {
 			declared[e.From+"\x00"+e.To] = e
 		}
 	}
-	comp := sccOf(nodes, adj)
+	comp := make(map[string]int) // class → component index
+	sccs := tarjan(sortedKeys(nodes), func(n string) []string { return adj[n] })
+	for i, scc := range sccs {
+		sort.Strings(scc)
+		for _, n := range scc {
+			comp[n] = i
+		}
+	}
 	cycleFinding := func(e *LockEdge, format string, args ...any) {
 		e.InCycle = true
 		g.unitFindings[e.Unit] = append(g.unitFindings[e.Unit], Finding{
@@ -662,99 +592,8 @@ func closeLockGraph(sink *lockSink) {
 			e.InCycle = true
 			continue
 		}
-		members := sccMembers(comp, comp[e.From])
-		cycleFinding(e, "lock-order cycle: acquiring %s while %s is held closes a cycle among {%s}; acquire these locks in one global order", e.To, e.From, strings.Join(members, ", "))
+		cycleFinding(e, "lock-order cycle: acquiring %s while %s is held closes a cycle among {%s}; acquire these locks in one global order", e.To, e.From, strings.Join(sccs[comp[e.From]], ", "))
 	}
-}
-
-// sccOf computes strongly connected components (iterative Tarjan) over the
-// class graph, returning a component id per node.
-func sccOf(nodes map[string]bool, adj map[string][]string) map[string]int {
-	names := make([]string, 0, len(nodes))
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		sort.Strings(adj[n])
-	}
-
-	comp := make(map[string]int, len(nodes))
-	index := make(map[string]int, len(nodes))
-	lowlink := make(map[string]int, len(nodes))
-	onStack := make(map[string]bool, len(nodes))
-	var stack []string
-	next, compID := 1, 0
-
-	type frame struct {
-		node string
-		succ int
-	}
-	for _, root := range names {
-		if index[root] != 0 {
-			continue
-		}
-		work := []frame{{node: root}}
-		for len(work) > 0 {
-			fr := &work[len(work)-1]
-			v := fr.node
-			if fr.succ == 0 {
-				index[v] = next
-				lowlink[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for fr.succ < len(adj[v]) {
-				w := adj[v][fr.succ]
-				fr.succ++
-				if index[w] == 0 {
-					work = append(work, frame{node: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < lowlink[v] {
-					lowlink[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if lowlink[v] == index[v] {
-				compID++
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = compID
-					if w == v {
-						break
-					}
-				}
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				parent := work[len(work)-1].node
-				if lowlink[v] < lowlink[parent] {
-					lowlink[parent] = lowlink[v]
-				}
-			}
-		}
-	}
-	return comp
-}
-
-// sccMembers lists the classes in one component, sorted.
-func sccMembers(comp map[string]int, id int) []string {
-	var out []string
-	for n, c := range comp {
-		if c == id {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteLockDOT renders the lock-order graph in Graphviz DOT form (the
@@ -770,12 +609,7 @@ func WriteLockDOT(w io.Writer, g *LockOrderGraph) error {
 	for _, e := range g.Edges {
 		nodes[e.From], nodes[e.To] = true, true
 	}
-	names := make([]string, 0, len(nodes))
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(nodes) {
 		fmt.Fprintf(bw, "  %q;\n", n)
 	}
 

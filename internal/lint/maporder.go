@@ -23,7 +23,7 @@ var MapOrder = &Analyzer{
 
 func runMapOrder(p *Pass) {
 	for _, file := range p.Files {
-		parents := parentMap(file)
+		parents := p.parents(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {

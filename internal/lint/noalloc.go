@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 )
 
 // NoAlloc statically enforces the zero-alloc contract. A function annotated
@@ -43,68 +42,14 @@ var NoAlloc = &Analyzer{
 	Run:  runNoAlloc,
 }
 
-var noallocRe = regexp.MustCompile(`^//\s*qb5000:noalloc\s*$`)
-
-// isNoAllocAnnotated reports whether fd's doc comment carries the
-// annotation.
-func isNoAllocAnnotated(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if noallocRe.MatchString(c.Text) {
-			return true
-		}
-	}
-	return false
-}
-
-// NoAllocIDs returns the symbolic IDs of every annotated function across
-// the program, built lazily once; the analyzer trusts calls between
-// annotated functions (each body is verified on its own).
-func (prog *Program) noallocIDs() map[string]bool {
-	if prog.noalloc == nil {
-		prog.noalloc = make(map[string]bool)
-		for _, u := range prog.Units {
-			for _, file := range u.Files {
-				for _, decl := range file.Decls {
-					if fd, ok := decl.(*ast.FuncDecl); ok && isNoAllocAnnotated(fd) {
-						prog.noalloc[declID(u, fd)] = true
-					}
-				}
-			}
-		}
-	}
-	return prog.noalloc
-}
-
 func runNoAlloc(p *Pass) {
-	if p.Prog == nil {
-		return
-	}
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		if fb.lit != nil || !p.Prog.Graph.NodeFor(fb.decl).annotated("noalloc") {
+			return
 		}
-		var parents map[ast.Node]ast.Node
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isNoAllocAnnotated(fd) {
-				continue
-			}
-			if parents == nil {
-				parents = parentMap(file)
-			}
-			c := &noallocChecker{
-				pass:    p,
-				info:    p.Info,
-				parents: parents,
-				reach:   newReaching(p.Info, fd.Recv, fd.Type, fd.Body),
-				trusted: p.Prog.noallocIDs(),
-			}
-			c.walk(fd)
-		}
-	}
+		c := &noallocChecker{pass: p, info: p.Info, parents: p.parents(fb.file), reach: fb.reaching(p.Info)}
+		c.walk(fb.decl)
+	})
 }
 
 // noallocChecker walks one annotated function body.
@@ -113,7 +58,6 @@ type noallocChecker struct {
 	info    *types.Info
 	parents map[ast.Node]ast.Node
 	reach   *reaching
-	trusted map[string]bool
 }
 
 func (c *noallocChecker) walk(fd *ast.FuncDecl) {
@@ -232,7 +176,7 @@ func (c *noallocChecker) call(call *ast.CallExpr) {
 	}
 	if tf := staticCallee(c.info, call); tf != nil {
 		id := funcID(tf)
-		if c.trusted[id] {
+		if c.pass.Prog.Graph.Nodes[id].annotated("noalloc") {
 			// Annotated callee: its own body is verified.
 		} else if cs := c.pass.Prog.Summaries[id]; cs != nil && cs.Allocates {
 			if !c.exemptErrorPath(call, true) {
@@ -275,7 +219,7 @@ func (c *noallocChecker) appendCall(call *ast.CallExpr) {
 		return
 	}
 	obj := c.info.ObjectOf(id)
-	element := c.elementFor(call)
+	element := c.reach.elementOf(c.parents, call)
 	defs := []defSite(nil)
 	if obj != nil && element != nil {
 		defs = c.reach.defsAt(element, obj)
@@ -322,17 +266,6 @@ func (c *noallocChecker) pooledDef(d defSite, obj types.Object) bool {
 		}
 	}
 	return false
-}
-
-// elementFor climbs to the enclosing CFG element node (the statement the
-// reaching-defs solver keyed its facts on).
-func (c *noallocChecker) elementFor(n ast.Node) ast.Node {
-	for cur := n; cur != nil; cur = c.parents[cur] {
-		if _, ok := c.reach.before[cur]; ok {
-			return cur
-		}
-	}
-	return nil
 }
 
 func (c *noallocChecker) conversion(call *ast.CallExpr) {

@@ -25,10 +25,7 @@ var clockFuncs = map[string]bool{
 }
 
 func runNoClock(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
+	for _, file := range p.Unit.nonTestFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

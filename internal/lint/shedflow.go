@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -15,12 +14,11 @@ import (
 //
 //   - Propagation: the error returned by Gate.TryAcquire / Gate.Acquire
 //     must flow somewhere. A result discarded as a statement, assigned to
-//     `_`, or stored in a variable no later use can see (the same
-//     reaching-definitions analysis faultpath uses) silently un-sheds the
-//     request.
+//     `_`, or stored in a variable no later use can see (the must-use
+//     engine, configured as for faultpath) silently un-sheds the request.
 //   - Release obligation: a successful acquire holds inflight weight until
-//     the matching <gate>.Release. The obligation flow (mirroring
-//     handlelife) requires a Release on every path that can follow a
+//     the matching <gate>.Release. The obligation engine (configured as
+//     for handlelife) requires a Release on every path that can follow a
 //     successful acquire; a return inside the acquire error's own
 //     `err != nil` block is the shed path and owes nothing. A leaked
 //     permit never comes back — the gate's capacity ratchets down until
@@ -84,119 +82,77 @@ func runShedFlow(p *Pass) {
 	if strings.TrimSuffix(p.Unit.Path, "_test") == admissionPkgPath {
 		return
 	}
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		p.checkMustUse(acquireMustUse, fb)
+		p.checkReleaseObligations(fb.body)
+		if fb.lit == nil {
+			p.checkHandler429(fb.decl)
 		}
-		parents := parentMap(file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			p.checkAcquireFlow(parents, fd.Recv, fd.Type, fd.Body)
-			p.checkReleaseObligations(fd.Body)
-			inspectFuncLits(fd.Body, func(fl *ast.FuncLit) {
-				p.checkAcquireFlow(parents, nil, fl.Type, fl.Body)
-				p.checkReleaseObligations(fl.Body)
-			})
-			p.checkHandler429(fd)
-		}
-	}
-}
-
-// checkAcquireFlow verifies that each acquire error in one function body
-// reaches a real use — faultpath's propagation machinery pointed at the
-// admission gate.
-func (p *Pass) checkAcquireFlow(parents map[ast.Node]ast.Node, recv *ast.FieldList, ft *ast.FuncType, body *ast.BlockStmt) {
-	var acquires []*ast.CallExpr
-	methods := make(map[*ast.CallExpr]string)
-	inspectShallow(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, name, ok := isAcquireCall(p.Info, call); ok {
-				acquires = append(acquires, call)
-				methods[call] = name
-			}
-		}
-		return true
 	})
-	if len(acquires) == 0 {
-		return
-	}
-	var reach *reaching
-	for _, call := range acquires {
-		parent := parents[call]
-		for {
-			if pe, ok := parent.(*ast.ParenExpr); ok {
-				parent = parents[pe]
-				continue
-			}
-			break
-		}
-		switch pa := parent.(type) {
-		case *ast.ExprStmt:
-			p.Reportf(call.Pos(), "admission %s result discarded; ErrOverload never propagates and overload is never shed", methods[call])
-		case *ast.AssignStmt:
-			idx := -1
-			for i, rhs := range pa.Rhs {
-				if ast.Unparen(rhs) == call {
-					idx = i
-				}
-			}
-			if idx < 0 || idx >= len(pa.Lhs) {
-				continue
-			}
-			id, ok := pa.Lhs[idx].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if id.Name == "_" {
-				p.Reportf(call.Pos(), "admission %s result assigned to _; ErrOverload never propagates and overload is never shed", methods[call])
-				continue
-			}
-			obj := p.Info.ObjectOf(id)
-			if obj == nil {
-				continue
-			}
-			if reach == nil {
-				reach = newReaching(p.Info, recv, ft, body)
-			}
-			if !injectDefUsed(p.Info, parents, reach, body, pa, obj) {
-				p.Reportf(call.Pos(), "the error from admission %s is never read after this assignment; ErrOverload never propagates and overload is never shed", methods[call])
-			}
-		}
-	}
 }
 
-// gateFact maps each gate class (the receiver expression, textually) to the
-// position of the acquire holding its permit. Persistent: the transfer
-// copies before mutating.
-type gateFact map[string]token.Pos
+// acquireMustUse is the propagation check as a must-use configuration:
+// each acquire error must reach a real use.
+var acquireMustUse = mustUse{
+	produces: func(p *Pass, call *ast.CallExpr) bool {
+		_, _, ok := isAcquireCall(p.Info, call)
+		return ok
+	},
+	message: func(p *Pass, _ *funcBody, call *ast.CallExpr, d disposal) string {
+		_, name, _ := isAcquireCall(p.Info, call)
+		return swallowedMessage("admission "+name, "ErrOverload never propagates and overload is never shed", d)
+	},
+}
 
-// checkReleaseObligations runs the permit obligation flow over one body.
+// acquireBinding matches `err := <gate>.TryAcquire/Acquire(...)` — the one
+// statement shape that takes a permit — returning the gate class (the
+// receiver expression, textually), the bound error variable, and the call.
+func (p *Pass) acquireBinding(n ast.Node) (class string, errVar types.Object, call *ast.CallExpr) {
+	as, ok := n.(*ast.AssignStmt)
+	if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
+		return "", nil, nil
+	}
+	call, ok = ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return "", nil, nil
+	}
+	recv, _, ok := isAcquireCall(p.Info, call)
+	id, isID := as.Lhs[0].(*ast.Ident)
+	if !ok || !isID || id.Name == "_" {
+		return "", nil, nil
+	}
+	return types.ExprString(recv), p.Info.ObjectOf(id), call
+}
+
+// checkReleaseObligations configures the obligation engine for permits: a
+// bound acquire mints its gate class, a Release anywhere in an element's
+// subtree — plain, deferred, or inside a deferred closure — discharges it,
+// and a return on the acquire's own shed path is forgiven.
 func (p *Pass) checkReleaseObligations(body *ast.BlockStmt) {
 	shedReturns := p.shedReturns(body)
-	g := buildCFG(body)
-	sums := p.summaries()
-	transfer := func(f gateFact, n ast.Node) gateFact {
-		return p.gateTransfer(f, n, shedReturns, sums)
-	}
-	exit, reachable := forwardFlow(g, gateFact{}, transfer, joinGates, equalGates, nil)
-	if !reachable {
-		return
-	}
-	type leak struct {
-		pos   token.Pos
-		class string
-	}
-	var leaks []leak
-	for class, pos := range exit {
-		leaks = append(leaks, leak{pos, class})
-	}
-	sort.Slice(leaks, func(i, j int) bool { return leaks[i].pos < leaks[j].pos })
-	for _, l := range leaks {
-		p.Reportf(l.pos, "admission permit on %s acquired here is not released on every path; pair a successful acquire with a deferred %s.Release", l.class, l.class)
-	}
+	checkObligations(p, body, obligation[string]{
+		join: setFact[string, token.Pos].union,
+		mint: func(n ast.Node, add func(string, token.Pos)) {
+			if class, _, call := p.acquireBinding(n); call != nil {
+				add(class, call.Pos())
+			}
+		},
+		discharge: func(f setFact[string, token.Pos], n ast.Node) setFact[string, token.Pos] {
+			ast.Inspect(n, func(m ast.Node) bool {
+				if call, ok := m.(*ast.CallExpr); ok {
+					if recv, name, ok := gateMethod(p.Info, call); ok && name == "Release" {
+						f = f.without(types.ExprString(recv))
+					}
+				}
+				return true
+			})
+			return f
+		},
+		forgiven: func(ret *ast.ReturnStmt, class string) bool { return shedReturns[ret][class] },
+		leak: func(class string) string {
+			return "admission permit on " + class + " acquired here is not released on every path; pair a successful acquire with a deferred " + class + ".Release"
+		},
+	})
 }
 
 // shedReturns finds the returns that owe no Release: those inside the body
@@ -206,22 +162,8 @@ func (p *Pass) checkReleaseObligations(body *ast.BlockStmt) {
 func (p *Pass) shedReturns(body *ast.BlockStmt) map[*ast.ReturnStmt]map[string]bool {
 	errClass := make(map[types.Object]string)
 	inspectShallow(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, _, ok := isAcquireCall(p.Info, call)
-		if !ok {
-			return true
-		}
-		if id, isID := as.Lhs[0].(*ast.Ident); isID && id.Name != "_" {
-			if obj := p.Info.ObjectOf(id); obj != nil {
-				errClass[obj] = types.ExprString(recv)
-			}
+		if class, errVar, call := p.acquireBinding(n); call != nil && errVar != nil {
+			errClass[errVar] = class
 		}
 		return true
 	})
@@ -266,110 +208,16 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// gateTransfer applies one element's effect on the permit obligations.
-func (p *Pass) gateTransfer(f gateFact, n ast.Node, shedReturns map[*ast.ReturnStmt]map[string]bool, sums map[string]*FuncSummary) gateFact {
-	// Releases discharge wherever they appear in the element's subtree —
-	// plain, deferred, or inside a deferred closure.
-	if len(f) > 0 {
-		var released []string
-		ast.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if recv, name, ok := gateMethod(p.Info, call); ok && name == "Release" {
-				released = append(released, types.ExprString(recv))
-			}
-			return true
-		})
-		for _, class := range released {
-			if _, held := f[class]; held {
-				nf := make(gateFact, len(f))
-				for k, v := range f {
-					if k != class {
-						nf[k] = v
-					}
-				}
-				f = nf
-			}
-		}
-	}
-	switch st := n.(type) {
-	case *ast.ReturnStmt:
-		if clears := shedReturns[st]; len(clears) > 0 {
-			nf := make(gateFact, len(f))
-			for k, v := range f {
-				if !clears[k] {
-					nf[k] = v
-				}
-			}
-			return nf
-		}
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok && isExitingCall(p.Info, call, sums) {
-			return gateFact{}
-		}
-	case *ast.AssignStmt:
-		if len(st.Rhs) == 1 {
-			if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
-				if recv, _, ok := isAcquireCall(p.Info, call); ok {
-					if len(st.Lhs) == 1 {
-						if id, isID := st.Lhs[0].(*ast.Ident); isID && id.Name != "_" {
-							nf := make(gateFact, len(f)+1)
-							for k, v := range f {
-								nf[k] = v
-							}
-							nf[types.ExprString(recv)] = call.Pos()
-							return nf
-						}
-					}
-				}
-			}
-		}
-	}
-	return f
-}
-
-func joinGates(a, b gateFact) gateFact {
-	out := make(gateFact, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equalGates(a, b gateFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // checkHandler429 verifies the overload-status mapping for one declared
 // HTTP handler: if anything in its static call tree acquires admission,
 // something in that tree must produce a 429.
 func (p *Pass) checkHandler429(fd *ast.FuncDecl) {
-	if !p.isHandlerSig(fd.Type) || p.Prog == nil {
+	if !p.isHandlerSig(fd.Type) {
 		return
 	}
-	node := p.Prog.Graph.NodeFor(fd)
-	if node == nil {
-		return
-	}
-	family := p.handlerFamily(node)
 	acquires := false
 	maps429 := false
-	for _, m := range family {
+	for _, m := range staticTree(p.Prog.Graph.NodeFor(fd)) {
 		if m.Body == nil {
 			continue
 		}
@@ -410,43 +258,6 @@ func (p *Pass) isHandlerSig(ft *ast.FuncType) bool {
 		}
 	}
 	return len(typs) == 2 && typs[0] == "net/http.ResponseWriter" && typs[1] == "*net/http.Request"
-}
-
-// handlerFamily is the static call tree under a handler: non-Dynamic,
-// non-go edges, plus every literal of each reachable declaration (literals
-// run on the handler goroutine unless spawned).
-func (p *Pass) handlerFamily(root *FuncNode) []*FuncNode {
-	seen := make(map[string]bool)
-	var out []*FuncNode
-	var queue []*FuncNode
-	visit := func(m *FuncNode) {
-		if m == nil || seen[m.ID] {
-			return
-		}
-		seen[m.ID] = true
-		out = append(out, m)
-		queue = append(queue, m)
-	}
-	visit(root)
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
-		if m.Decl != nil {
-			prefix := m.ID + "$lit"
-			for _, x := range p.Prog.Graph.Order {
-				if strings.HasPrefix(x.ID, prefix) {
-					visit(x)
-				}
-			}
-		}
-		for _, e := range m.Out {
-			if e.Dynamic || e.Go {
-				continue
-			}
-			visit(e.Callee)
-		}
-	}
-	return out
 }
 
 // mentions429 reports a node that produces the Too Many Requests status:

@@ -15,7 +15,7 @@ import (
 //   - read-only inside the worker;
 //   - written only at indices derived from the worker's own index parameter
 //     (index-disjoint slots, the pool's sanctioned result pattern); or
-//   - written with a mutex provably held (dataflow.go's must-hold walk).
+//   - written with a mutex provably held (the heldLocks must-hold flow).
 //
 // Everything else is reported: appends or reassignments of a captured slice
 // (racing on the shared header), writes at indices the analysis cannot tie
@@ -30,10 +30,7 @@ var SliceShare = &Analyzer{
 }
 
 func runSliceShare(p *Pass) {
-	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
+	for _, file := range p.Unit.nonTestFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isParallelCall(p, call) {
@@ -50,7 +47,7 @@ func runSliceShare(p *Pass) {
 			if !ok {
 				return true // a named worker func is opaque; nothing to check
 			}
-			p.checkWorker(lit)
+			p.checkWorker(&funcBody{file: file, lit: lit, typ: lit.Type, body: lit.Body})
 			return true
 		})
 	}
@@ -120,12 +117,11 @@ func isMapType(t types.Type) bool {
 
 // checkWorker analyzes one worker closure: reaching definitions resolve
 // index provenance, the lock walk resolves protected regions.
-func (p *Pass) checkWorker(lit *ast.FuncLit) {
+func (p *Pass) checkWorker(fb *funcBody) {
+	lit := fb.lit
 	idx := p.workerIndexObj(lit)
-	reach := newReaching(p.Info, nil, lit.Type, lit.Body)
-	g := buildCFG(lit.Body)
-	transfer := func(f lockSet, n ast.Node) lockSet { return lockTransfer(p, f, n) }
-	forwardFlow(g, lockSet{}, transfer, joinLocks, equalLocks, func(n ast.Node, held lockSet) {
+	reach := fb.reaching(p.Info)
+	heldLocks(p.Prog, p.Unit, fb, nil, func(n ast.Node, held heldFact) {
 		locked := len(held) > 0
 		switch st := n.(type) {
 		case *ast.AssignStmt:

@@ -80,15 +80,12 @@ type Program struct {
 	Summaries map[string]*FuncSummary
 
 	// Lazily built program-wide artifacts: the lock-order graph (lockorder),
-	// the set of qb5000:noalloc-annotated function IDs (noalloc), the
-	// per-function qb5000:durable parameter indices (durable), the
-	// failpoint registry cross-reference (faultpath), and the set of node
-	// IDs reachable from qb5000:serving entry points (bounded).
+	// the failpoint registry cross-reference (faultpath), and the nodes
+	// reachable from qb5000:serving entry points (bounded). The annotation
+	// contracts need no table of their own: they read FuncNode.ann.
 	lockGraph *LockOrderGraph
-	noalloc   map[string]bool
-	durable   map[string]map[int]bool
 	failpts   *fpRegistry
-	servingID map[string]bool
+	serving   map[*FuncNode]bool
 }
 
 // NewProgram builds the call graph and summaries over the given units.
@@ -188,7 +185,7 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 			s.Spawns = true
 			// An unproven spawner taints its callers unless this function's
 			// annotation vouches for the whole call tree under it.
-			if !cs.Bounded && !n.boundedAnn {
+			if !cs.Bounded && !n.annotated("bounded") {
 				s.Bounded = false
 			}
 		}
@@ -266,15 +263,11 @@ func scanLockClasses(n *FuncNode, info *types.Info) (acquired, released map[stri
 // receiver object.
 func paramObjects(info *types.Info, n *FuncNode) ([]types.Object, types.Object) {
 	var params []types.Object
-	if n.Type != nil && n.Type.Params != nil {
-		for _, f := range n.Type.Params.List {
-			if len(f.Names) == 0 {
-				params = append(params, nil)
-				continue
-			}
-			for _, name := range f.Names {
-				params = append(params, info.Defs[name])
-			}
+	for _, name := range paramNames(n.Type) {
+		if name == nil {
+			params = append(params, nil)
+		} else {
+			params = append(params, info.Defs[name])
 		}
 	}
 	var recvObj types.Object
@@ -291,7 +284,7 @@ func scanOwnBody(n *FuncNode, s *FuncSummary, info *types.Info, sums map[string]
 		switch x := node.(type) {
 		case *ast.GoStmt:
 			s.Spawns = true
-			if !n.boundedAnn {
+			if !n.annotated("bounded") {
 				s.Bounded = false
 			}
 		case *ast.CallExpr:
@@ -499,11 +492,9 @@ func isOpenerCall(info *types.Info, call *ast.CallExpr, sums map[string]*FuncSum
 			return true
 		}
 	}
-	if sums != nil {
-		if tf := staticCallee(info, call); tf != nil {
-			if cs := sums[funcID(tf)]; cs != nil && cs.ReturnsOpen {
-				return true
-			}
+	if tf := staticCallee(info, call); tf != nil {
+		if cs := sums[funcID(tf)]; cs != nil && cs.ReturnsOpen {
+			return true
 		}
 	}
 	return false
@@ -548,33 +539,20 @@ func isPkgIdent(info *types.Info, e ast.Expr, pkgPath string) bool {
 // sync.RWMutex (possibly behind a pointer).
 func mutexMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !isMutexType(info.TypeOf(sel.X)) {
 		return "", false
 	}
-	t := info.TypeOf(sel.X)
-	if t == nil {
-		return "", false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	switch t.String() {
-	case "sync.Mutex", "sync.RWMutex":
-		return sel.Sel.Name, true
-	}
-	return "", false
+	return sel.Sel.Name, true
 }
 
 // isExitingCall reports whether call never returns to its caller: os.Exit,
 // log.Fatal*, runtime.Goexit, the panic builtin, or a loaded callee whose
-// summary says NoReturn. sums may be nil when summaries are not available.
+// summary says NoReturn.
 func isExitingCall(info *types.Info, call *ast.CallExpr, sums map[string]*FuncSummary) bool {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		if f.Name == "panic" && info.Uses[f] == nil {
-			return true // builtin
-		}
-	case *ast.SelectorExpr:
+	if isBuiltinCall(info, call, "panic") {
+		return true
+	}
+	if f, ok := call.Fun.(*ast.SelectorExpr); ok {
 		name := f.Sel.Name
 		if isPkgIdent(info, f.X, "os") && name == "Exit" {
 			return true
@@ -589,11 +567,9 @@ func isExitingCall(info *types.Info, call *ast.CallExpr, sums map[string]*FuncSu
 			return true
 		}
 	}
-	if sums != nil {
-		if tf := staticCallee(info, call); tf != nil {
-			if cs := sums[funcID(tf)]; cs != nil && cs.NoReturn {
-				return true
-			}
+	if tf := staticCallee(info, call); tf != nil {
+		if cs := sums[funcID(tf)]; cs != nil && cs.NoReturn {
+			return true
 		}
 	}
 	return false

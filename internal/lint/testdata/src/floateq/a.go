@@ -9,10 +9,24 @@ func exactNeq(a, b float64) bool {
 }
 
 func zeroGuard(s float64) float64 {
-	if s == 0 { // want "exact floating-point == comparison"
+	if s == 0 { // the exact-zero division guard is exempt
 		return 0
 	}
 	return 1 / s
+}
+
+func zeroOnTheLeft(y float32) bool {
+	return 0 != y // either operand may be the constant zero
+}
+
+const unset float64 = 0.0
+
+func zeroSentinel(cfg float64) bool {
+	return cfg != 0.0 || cfg == unset // typed and untyped zero constants alike
+}
+
+func nonZeroConst(x float64) bool {
+	return x == 0.5 // want "exact floating-point == comparison"
 }
 
 func float32Too(a, b float32) bool {

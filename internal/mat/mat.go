@@ -85,7 +85,6 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for k, av := range arow {
-			//lint:ignore floateq skipping exact zeros is a sparsity fast path, not a tolerance check
 			if av == 0 {
 				continue
 			}
@@ -153,7 +152,6 @@ func CosineSimilarity(a, b []float64) float64 {
 			maxAbs = m
 		}
 	}
-	//lint:ignore floateq both vectors are exactly zero only when every element is
 	if maxAbs == 0 {
 		return 1 // both zero vectors: identical silence
 	}
@@ -164,7 +162,6 @@ func CosineSimilarity(a, b []float64) float64 {
 		na2 += x * x
 		nb2 += y * y
 	}
-	//lint:ignore floateq guards exact division by zero after scaling
 	if na2 == 0 || nb2 == 0 {
 		return 0
 	}
@@ -214,7 +211,6 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 		pv := aug.At(col, col)
 		for r := col + 1; r < n; r++ {
 			f := aug.At(r, col) / pv
-			//lint:ignore floateq skipping exact zeros is an elimination fast path, not a tolerance check
 			if f == 0 {
 				continue
 			}

@@ -121,7 +121,7 @@ func powerIteration(a *Matrix) (vec []float64, eigenvalue float64) {
 	for iter := 0; iter < 300; iter++ {
 		w, _ := MulVec(a, v)
 		n := Norm2(w)
-		//lint:ignore floateq an exactly zero norm means the iterate vanished; any epsilon would mask real convergence
+		// An exactly zero norm means the iterate vanished; any epsilon would mask real convergence.
 		if n == 0 {
 			return v, 0
 		}

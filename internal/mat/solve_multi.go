@@ -42,7 +42,6 @@ func SolveLinearMulti(a, b *Matrix) (*Matrix, error) {
 		pv := aug.At(col, col)
 		for r := col + 1; r < n; r++ {
 			f := aug.At(r, col) / pv
-			//lint:ignore floateq skipping exact zeros is an elimination fast path, not a tolerance check
 			if f == 0 {
 				continue
 			}
@@ -63,7 +62,6 @@ func SolveLinearMulti(a, b *Matrix) (*Matrix, error) {
 		copy(xrow, rhs.Row(i))
 		for j := i + 1; j < n; j++ {
 			f := arow[j]
-			//lint:ignore floateq skipping exact zeros is an elimination fast path, not a tolerance check
 			if f == 0 {
 				continue
 			}

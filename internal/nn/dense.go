@@ -36,7 +36,6 @@ func (d *Dense) Backward(x, dy []float64) []float64 {
 	dx := make([]float64, d.In)
 	for o := 0; o < d.Out; o++ {
 		g := dy[o]
-		//lint:ignore floateq skipping exact-zero gradients is a fast path, not a tolerance check
 		if g == 0 {
 			continue
 		}

@@ -109,7 +109,6 @@ func (l *LSTM) StepBackward(cache *lstmCache, dH, dC []float64) (dx []float64, d
 		dCPrev[h] += dc * f
 		for gate := 0; gate < 4; gate++ {
 			gp := dPre[gate]
-			//lint:ignore floateq skipping exact-zero gradients is a fast path, not a tolerance check
 			if gp == 0 {
 				continue
 			}

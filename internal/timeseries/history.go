@@ -55,7 +55,6 @@ func (h *History) Compact(now time.Time) int {
 		return 0
 	}
 	for i := 0; i < n; i++ {
-		//lint:ignore floateq empty buckets hold an exact zero; nonzero counts must all roll up
 		if v := h.fine.Data[i]; v != 0 {
 			h.coarse.Add(h.fine.TimeOf(i), v)
 		}

@@ -144,7 +144,6 @@ func (s *Series) AddSeries(other *Series) error {
 		return fmt.Errorf("timeseries: interval mismatch %v vs %v", s.Interval, other.Interval)
 	}
 	for i, v := range other.Data {
-		//lint:ignore floateq empty buckets hold an exact zero; skipping them is a fast path
 		if v == 0 {
 			continue
 		}

@@ -103,11 +103,16 @@ type Forecaster struct {
 
 // New creates a Forecaster.
 func New(cfg Config) *Forecaster {
+	return &Forecaster{ctl: core.New(cfg.coreConfig())}
+}
+
+// coreConfig converts the public configuration to the controller's.
+func (cfg Config) coreConfig() core.Config {
 	mode := cluster.ArrivalRate
 	if cfg.UseLogicalFeatures {
 		mode = cluster.Logical
 	}
-	return &Forecaster{ctl: core.New(core.Config{
+	return core.Config{
 		Rho:            cfg.Rho,
 		Gamma:          cfg.Gamma,
 		Interval:       cfg.Interval,
@@ -125,7 +130,7 @@ func New(cfg Config) *Forecaster {
 		Shards:         cfg.Shards,
 
 		FingerprintCacheSize: cfg.FingerprintCacheSize,
-	})}
+	}
 }
 
 // Observe forwards one executed query to the framework. Forwarding is
@@ -379,29 +384,7 @@ func LoadFile(cfg Config, path string) (*Forecaster, error) {
 // envelope; truncation and corruption surface as clean errors, never as a
 // decoder panic or silently partial state.
 func Load(cfg Config, r io.Reader) (*Forecaster, error) {
-	mode := cluster.ArrivalRate
-	if cfg.UseLogicalFeatures {
-		mode = cluster.Logical
-	}
-	ctl, err := core.RestoreController(core.Config{
-		Rho:            cfg.Rho,
-		Gamma:          cfg.Gamma,
-		Interval:       cfg.Interval,
-		Horizons:       cfg.Horizons,
-		TrainWindow:    cfg.TrainWindow,
-		CoverageTarget: cfg.CoverageTarget,
-		MaxClusters:    cfg.MaxClusters,
-		ClusterEvery:   cfg.ClusterEvery,
-		Model:          cfg.Model,
-		FeatureMode:    mode,
-		Seed:           cfg.Seed,
-		Epochs:         cfg.Epochs,
-		LearnRate:      cfg.LearnRate,
-		Parallelism:    cfg.Parallelism,
-		Shards:         cfg.Shards,
-
-		FingerprintCacheSize: cfg.FingerprintCacheSize,
-	}, r)
+	ctl, err := core.RestoreController(cfg.coreConfig(), r)
 	if err != nil {
 		return nil, err
 	}
