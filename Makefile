@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-faults cover bench bench-ingest bench-gate bench-baseline race lint lint-stats ci experiments experiments-quick vet vet-graph vet-lockgraph fmt clean fuzz-smoke
+.PHONY: all build test test-short test-faults cover bench bench-ingest race lint lint-stats ci experiments experiments-quick vet vet-graph vet-lockgraph fmt clean fuzz-smoke
 
 all: build test
 
@@ -28,32 +28,12 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The observe hot-path benchmark selection. bench-ingest, bench-gate, and
-# bench-baseline all select with this exact regex so the gate always compares
-# like against like: a baseline refreshed here is guaranteed to cover the same
-# benchmarks the gate re-runs.
-BENCH_RE ?= BenchmarkObserve(Parallel|CacheHit|CacheMiss)$$
-
-# Measure sharded-ingest scaling: ObserveMany throughput at 1, 4, and
-# GOMAXPROCS goroutines against the striped catalog, plus the
-# fingerprint-cache hit and miss paths.
+# Micro-benchmarks of the single-observe path (the end-to-end verdict is
+# `go run ./bench -compare`): ObserveBatch throughput at 1, 4, and GOMAXPROCS
+# goroutines against the striped catalog, plus the fingerprint-cache hit and
+# miss paths.
 bench-ingest:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem .
-
-# The CI perf-regression gate: re-run the observe benchmarks several times
-# and compare their geomean ns/op against the checked-in baseline with the
-# stdlib-only comparator (fails on >15% slowdown). BENCH_COUNT trades gate
-# runtime against noise immunity.
-BENCH_COUNT ?= 6
-bench-gate:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -count $(BENCH_COUNT) . > bench_new.txt || { cat bench_new.txt; exit 1; }
-	$(GO) run ./cmd/benchgate -baseline bench_baseline.txt -new bench_new.txt -filter '^BenchmarkObserve' -report bench_report.txt
-
-# Refresh the checked-in baseline (run on the reference machine after an
-# intentional perf change, then commit bench_baseline.txt).
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -count $(BENCH_COUNT) . > bench_baseline.txt
-	@echo "wrote bench_baseline.txt"
+	$(GO) test -run '^$$' -bench 'BenchmarkObserve(Parallel|CacheHit|CacheMiss)$$' -benchmem .
 
 # Run the full suite under the race detector (mirrors the CI `race` job).
 race:

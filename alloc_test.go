@@ -32,6 +32,20 @@ func TestObserveHitPathAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("cache-hit Observe allocated %.1f allocs/op, want ≤1", allocs)
 	}
+	// The batch entry point is the same fold in a loop: a whole all-hit batch
+	// gets the same budget, not one allocation per line or per stripe.
+	batch := make([]Observation, 256)
+	for i := range batch {
+		batch[i] = Observation{SQL: sql, At: at, Count: 1}
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if res := f.ObserveMany(batch); res.Rejected != 0 {
+			t.Fatalf("ObserveMany rejected %d", res.Rejected)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("all-hit ObserveMany allocated %.1f allocs per 256-line batch, want ≤1", allocs)
+	}
 	if hits := f.Stats().CacheHits; hits == 0 {
 		t.Fatal("expected cache hits, got none — the test did not exercise the fast path")
 	}

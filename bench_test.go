@@ -237,10 +237,11 @@ func benchObserve(b *testing.B, goroutines int) {
 	wg.Wait()
 }
 
-// BenchmarkObserveParallel quantifies how ingest throughput scales with
-// cores (make bench-ingest; wired into the CI bench-smoke job). The
-// acceptance bar for the sharded catalog is goroutines=GOMAXPROCS reaching
-// ≥3× the ops/sec of the pre-refactor global-lock path.
+// BenchmarkObserveParallel quantifies how single-observe (ObserveBatch)
+// throughput scales with cores (make bench-ingest; wired into the CI
+// bench-smoke job). The acceptance bar for the sharded catalog is
+// goroutines=GOMAXPROCS reaching ≥3× the ops/sec of the pre-refactor
+// global-lock path.
 func BenchmarkObserveParallel(b *testing.B) {
 	seen := make(map[int]bool)
 	for _, g := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -323,7 +324,7 @@ func BenchmarkObserveDuringMaintain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := f.Maintain(to); err != nil {
+	if err := f.Maintain(context.Background(), to); err != nil {
 		b.Fatal(err)
 	}
 
@@ -337,7 +338,7 @@ func BenchmarkObserveDuringMaintain(b *testing.B) {
 				return
 			default:
 			}
-			if err := f.Maintain(to.Add(time.Duration(i+1) * time.Second)); err != nil {
+			if err := f.Maintain(context.Background(), to.Add(time.Duration(i+1)*time.Second)); err != nil {
 				b.Error(err)
 				return
 			}

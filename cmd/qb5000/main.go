@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -90,11 +91,10 @@ func main() {
 	var last time.Time
 	switch {
 	case *tracePath != "":
-		var err error
-		last, err = ingestFile(f, *tracePath)
-		if err != nil {
+		if err := ingestFile(f, *tracePath); err != nil {
 			fatal(err)
 		}
+		last = f.Controller().LastSeen()
 	case *wlName != "":
 		wl := pick(*wlName, *seed)
 		if wl == nil {
@@ -104,14 +104,8 @@ func main() {
 		if to.After(wl.End) {
 			to = wl.End
 		}
-		obs := make([]qb5000.Observation, 0, ingestChunk)
-		err := wl.ReplayBatches(wl.Start, to, 5*time.Minute, ingestChunk, func(evs []workload.Event) error {
-			obs = obs[:0]
-			for _, ev := range evs {
-				obs = append(obs, qb5000.Observation{SQL: ev.SQL, At: ev.At, Count: ev.Count})
-			}
-			f.ObserveMany(obs)
-			return nil
+		err := wl.Replay(wl.Start, to, 5*time.Minute, func(ev workload.Event) error {
+			return f.ObserveBatch(ev.SQL, ev.At, ev.Count)
 		})
 		if err != nil {
 			fatal(err)
@@ -122,7 +116,7 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-		last = latestSeen(f)
+		last = f.Controller().LastSeen()
 	}
 
 	if *savePath != "" {
@@ -135,7 +129,7 @@ func main() {
 		fmt.Printf("snapshot written to %s\n", *savePath)
 	}
 
-	if err := f.Maintain(last); err != nil {
+	if err := f.Maintain(context.Background(), last); err != nil {
 		fatal(err)
 	}
 
@@ -196,52 +190,17 @@ func dumpTrace(name string, seed int64, days int, path string) error {
 	})
 }
 
-// ingestChunk is how many trace entries accumulate before they flush through
-// ObserveMany in one batch of stripe-lock acquisitions.
-const ingestChunk = 1024
-
-func ingestFile(f *qb5000.Forecaster, path string) (time.Time, error) {
+func ingestFile(f *qb5000.Forecaster, path string) error {
 	file, err := os.Open(path)
 	if err != nil {
-		return time.Time{}, err
+		return err
 	}
 	defer file.Close()
-	var last time.Time
-	var rejected int64
-	batch := make([]qb5000.Observation, 0, ingestChunk)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		rejected += f.ObserveMany(batch).Rejected
-		batch = batch[:0]
+	res, err := f.ObserveTrace(file)
+	if res.Rejected > 0 {
+		fmt.Fprintf(os.Stderr, "warning: %s: %d queries rejected (unparseable)\n", path, res.Rejected)
 	}
-	err = tracefile.Read(file, func(e tracefile.Entry) error {
-		batch = append(batch, qb5000.Observation{SQL: e.SQL, At: e.At, Count: e.Count})
-		if e.At.After(last) {
-			last = e.At
-		}
-		if len(batch) >= ingestChunk {
-			flush()
-		}
-		return nil
-	})
-	flush()
-	if rejected > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %s: %d queries rejected (unparseable or negative count)\n", path, rejected)
-	}
-	return last, err
-}
-
-// latestSeen recovers the newest observation timestamp from the catalog.
-func latestSeen(f *qb5000.Forecaster) time.Time {
-	var last time.Time
-	for _, t := range f.Templates() {
-		if t.LastSeen.After(last) {
-			last = t.LastSeen
-		}
-	}
-	return last
+	return err
 }
 
 func pick(name string, seed int64) *workload.Workload {

@@ -31,7 +31,7 @@ func replayForecaster(t *testing.T, cfg Config) (*Forecaster, time.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Maintain(to); err != nil {
+	if err := f.Maintain(context.Background(), to); err != nil {
 		t.Fatal(err)
 	}
 	return f, to
@@ -127,7 +127,7 @@ func TestConcurrentMaintainAndForecast(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 3; i++ {
-		if err := f.Maintain(to.Add(time.Duration(i+1) * time.Minute)); err != nil {
+		if err := f.Maintain(context.Background(), to.Add(time.Duration(i+1)*time.Minute)); err != nil {
 			t.Fatalf("maintain: %v", err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestShardedIngestStress(t *testing.T) {
 					return
 				default:
 				}
-				if err := f.Maintain(to.Add(time.Duration(i+1) * time.Minute)); err != nil {
+				if err := f.Maintain(context.Background(), to.Add(time.Duration(i+1)*time.Minute)); err != nil {
 					t.Errorf("maintain during storm: %v", err)
 					return
 				}
@@ -238,7 +238,7 @@ func TestShardedIngestStress(t *testing.T) {
 		if st := f.Stats(); st.CacheHits == 0 {
 			t.Error("storm produced no fingerprint-cache hits; the stress did not exercise the fast path")
 		}
-		if err := f.Maintain(to.Add(time.Hour)); err != nil {
+		if err := f.Maintain(context.Background(), to.Add(time.Hour)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.Forecast(time.Hour); err != nil {
@@ -310,7 +310,7 @@ func TestDeadlockSentinel(t *testing.T) {
 						return
 					default:
 					}
-					if err := f.Maintain(to.Add(time.Duration(i+1) * time.Minute)); err != nil {
+					if err := f.Maintain(context.Background(), to.Add(time.Duration(i+1)*time.Minute)); err != nil {
 						t.Errorf("maintain during sentinel storm: %v", err)
 						return
 					}
@@ -406,7 +406,7 @@ func TestMaintainContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := f.MaintainContext(ctx, to); !errors.Is(err, context.Canceled) {
+	if err := f.Maintain(ctx, to); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The aborted pass must not leave half-trained models behind.
@@ -414,7 +414,7 @@ func TestMaintainContextCancellation(t *testing.T) {
 		t.Fatal("expected no trained model after cancelled maintenance")
 	}
 	// A later uncancelled pass recovers cleanly.
-	if err := f.Maintain(to); err != nil {
+	if err := f.Maintain(context.Background(), to); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Forecast(time.Hour); err != nil {

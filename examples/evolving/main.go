@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -35,7 +36,7 @@ func main() {
 	lastDay := -1
 	err := w.Replay(from, to, 10*time.Minute, func(ev workload.Event) error {
 		for !ev.At.Before(nextTick) {
-			ran, err := f.Tick(nextTick)
+			ran, err := f.Tick(context.Background(), nextTick)
 			if err != nil {
 				return err
 			}

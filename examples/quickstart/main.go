@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -47,7 +48,7 @@ func main() {
 	}
 
 	// Periodic maintenance: re-cluster templates and (re)train forecasters.
-	must(f.Maintain(end))
+	must(f.Maintain(context.Background(), end))
 
 	st := f.Stats()
 	fmt.Printf("observed %d queries → %d templates → %d clusters (%d modeled)\n\n",

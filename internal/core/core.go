@@ -251,10 +251,9 @@ func (c *Controller) Ingest(sql string, at time.Time, count int64) error {
 	return err
 }
 
-// IngestMany forwards a batch of observations, parsing lock-free and taking
-// each catalog stripe's lock once. It returns query-weighted counts of how
-// much folded and how much was rejected (unparseable SQL or negative
-// counts).
+// IngestMany forwards a batch of observations in input order. It returns
+// query-weighted counts of how much folded and how much was rejected
+// (unparseable SQL or negative counts).
 func (c *Controller) IngestMany(obs []preprocess.Observation) (ingested, rejected int64) {
 	for i := range obs {
 		c.noteSeen(obs[i].At)

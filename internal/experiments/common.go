@@ -29,26 +29,15 @@ func traces(seed int64) []*workload.Workload {
 // GOMAXPROCS.
 func replayInto(w *workload.Workload, from, to time.Time, step time.Duration, seed int64) (*preprocess.Preprocessor, error) {
 	pre := preprocess.New(preprocess.Options{Seed: seed, Shards: 1})
-	obs := make([]preprocess.Observation, 0, replayChunk)
-	err := w.ReplayBatches(from, to, step, replayChunk, func(evs []workload.Event) error {
-		obs = obs[:0]
-		for _, ev := range evs {
-			obs = append(obs, preprocess.Observation{SQL: ev.SQL, At: ev.At, Count: ev.Count})
-		}
-		if _, rejected := pre.ProcessMany(obs); rejected != 0 {
-			return fmt.Errorf("experiments: %d queries rejected replaying %s", rejected, w.Name)
-		}
-		return nil
+	err := w.Replay(from, to, step, func(ev workload.Event) error {
+		_, err := pre.ProcessBatch(ev.SQL, ev.At, ev.Count)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return pre, nil
 }
-
-// replayChunk is the replay→ingest batch size: one stripe-lock acquisition
-// per chunk rather than per event.
-const replayChunk = 1024
 
 // clusteredTrace is a replayed, clustered view of a workload slice.
 type clusteredTrace struct {

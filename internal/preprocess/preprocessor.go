@@ -246,7 +246,9 @@ func (p *Preprocessor) foldFingerprint(raw string, at time.Time, count int64) *T
 	return t
 }
 
-// Observation is one query arrival for the batch ingest path.
+// Observation is one query arrival: the record a trace line parses to and
+// every ingest entry point takes (tracefile.Entry and qb5000.Observation are
+// aliases of it).
 type Observation struct {
 	// SQL is the raw query text.
 	SQL string
@@ -257,124 +259,27 @@ type Observation struct {
 	Count int64
 }
 
-// ProcessMany templatizes and folds a batch of observations. Parsing runs
-// lock-free up front; the parsed arrivals are then grouped by stripe so each
-// stripe's mutex is taken exactly once per call. Within a stripe,
-// observations fold in input order, so for a fixed input order ProcessMany
-// produces the same catalog — same templates, same IDs, same histories — as
-// the equivalent sequence of ProcessBatch calls. The returned counts are
+// ProcessMany folds a batch of observations in input order, exactly as the
+// equivalent sequence of ProcessBatch calls would. The returned counts are
 // query-weighted: ingested sums the arrival counts folded in, rejected sums
 // the counts of dropped observations (parse failures — which also increment
 // Stats.ParseErrors — and negative counts, which weigh 1).
 func (p *Preprocessor) ProcessMany(obs []Observation) (ingested, rejected int64) {
-	type parsedObs struct {
-		res   *TemplatizeResult
-		key   string
-		vals  []string
-		ent   *fpEntry // fingerprint-cache hit; res/key/vals unset
-		obsIx int
-	}
-	// cacheInsert defers fingerprint-cache updates for this call's parses
-	// until the stripe locks are released.
-	type cacheInsert struct {
-		raw   string
-		id    int64
-		vals  []string
-		batch int64
-		stmt  sqlparse.StatementType
-	}
-	buckets := make([][]parsedObs, len(p.shards))
 	for i := range obs {
 		o := &obs[i]
-		if o.Count < 0 {
+		count := o.Count
+		if count < 0 {
 			rejected++
 			continue
 		}
-		if p.fp != nil {
-			if e := p.fp.lookup(o.SQL); e != nil {
-				// Defer the liveness check to the fold loop: stripe order
-				// and per-stripe input order must match the cache-off path
-				// exactly, so a hit folds in sequence with the misses.
-				buckets[e.stripe] = append(buckets[e.stripe], parsedObs{ent: e, obsIx: i})
-				continue
-			}
-			p.fp.misses.Add(1)
+		if count == 0 {
+			count = 1
 		}
-		res, err := Templatize(o.SQL)
-		if err != nil {
-			p.parseErrors.Add(1)
-			if o.Count > 0 {
-				rejected += o.Count
-			} else {
-				rejected++
-			}
+		if _, err := p.processN(o.SQL, o.At, count); err != nil {
+			rejected += count
 			continue
 		}
-		key := res.Features.SemanticKey()
-		ix := p.shardIndex(key)
-		buckets[ix] = append(buckets[ix], parsedObs{res: res, key: key, vals: renderParams(res.Params), obsIx: i})
-	}
-	var inserts []cacheInsert
-	var stale []*fpEntry
-	for ix, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		sh := &p.shards[ix]
-		sh.mu.Lock()
-		for _, po := range bucket {
-			o := &obs[po.obsIx]
-			count := o.Count
-			if count == 0 {
-				count = 1
-			}
-			if po.ent != nil {
-				if t, ok := sh.byID[po.ent.id]; ok {
-					sh.foldExisting(t, po.ent.vals, po.ent.batch, po.ent.stmt, o.At, count)
-					ingested += count
-					p.fp.hits.Add(1)
-					continue
-				}
-				// The template was evicted after the entry was cached.
-				// Re-templatize under the stripe lock (identical raw bytes
-				// map to the same key, hence this same stripe) — rare
-				// enough that holding the lock across one parse is cheaper
-				// than re-bucketing the whole batch.
-				stale = append(stale, po.ent)
-				p.fp.misses.Add(1)
-				res, err := Templatize(o.SQL)
-				if err != nil {
-					// Unreachable for text that parsed when it was cached,
-					// but degrade exactly like the scan-phase reject path.
-					p.parseErrors.Add(1)
-					rejected += count
-					continue
-				}
-				po.res = res
-				po.key = res.Features.SemanticKey()
-				po.vals = renderParams(res.Params)
-			}
-			t := sh.fold(p, po.res, po.key, po.vals, o.At, count)
-			ingested += count
-			if p.fp != nil {
-				inserts = append(inserts, cacheInsert{
-					raw:   o.SQL,
-					id:    t.ID,
-					vals:  po.vals,
-					batch: int64(po.res.BatchSize),
-					stmt:  po.res.Stmt.Type(),
-				})
-			}
-		}
-		sh.mu.Unlock()
-		for _, e := range stale {
-			p.fp.invalidate(e.raw, e)
-		}
-		stale = stale[:0]
-		for _, ci := range inserts {
-			p.fp.insert(ci.raw, ci.id, ix, ci.vals, ci.batch, ci.stmt)
-		}
-		inserts = inserts[:0]
+		ingested += count
 	}
 	return ingested, rejected
 }

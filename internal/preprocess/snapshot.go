@@ -134,23 +134,14 @@ func (s *catalogShard) exportInto(out []*Template, stats *Stats) []*Template {
 	return out
 }
 
-// RestoreSnapshot reconstructs a Preprocessor from a snapshot stream with
-// the default stripe count.
-func RestoreSnapshot(r io.Reader) (*Preprocessor, error) {
-	return RestoreSnapshotShards(r, 0)
-}
-
-// RestoreSnapshotShards is RestoreSnapshot with an explicit stripe count
-// (0 selects the default). Restored templates keep their canonical snapshot
-// IDs; every stripe's ID sequence starts above the restored maximum, so
-// templates created after the restore can never collide with a restored ID.
-func RestoreSnapshotShards(r io.Reader, shards int) (*Preprocessor, error) {
-	return RestoreSnapshotCache(r, shards, 0)
-}
-
-// RestoreSnapshotCache is RestoreSnapshotShards with the fingerprint cache
-// enabled at the given entry bound (0 = disabled). Snapshots never carry the
-// cache — it is derived state — so the restoring configuration decides it.
+// RestoreSnapshotCache reconstructs a Preprocessor from a snapshot stream
+// with the given stripe count (0 selects the default) and fingerprint-cache
+// entry bound (0 = disabled). Snapshots carry neither — the stripe layout is
+// not part of the canonical form and the cache is derived state — so the
+// restoring configuration decides both. Restored templates keep their
+// canonical snapshot IDs; every stripe's ID sequence starts above the
+// restored maximum, so templates created after the restore can never collide
+// with a restored ID.
 func RestoreSnapshotCache(r io.Reader, shards, fpCacheSize int) (*Preprocessor, error) {
 	var dto snapshotDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {

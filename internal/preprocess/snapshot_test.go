@@ -26,7 +26,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := p.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSnapshot(&buf)
+	restored, err := RestoreSnapshotCache(&buf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRestoreSnapshotErrors(t *testing.T) {
-	if _, err := RestoreSnapshot(strings.NewReader("not a gob stream")); err == nil {
+	if _, err := RestoreSnapshotCache(strings.NewReader("not a gob stream"), 0, 0); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, err := RestoreSnapshot(bytes.NewReader(nil)); err == nil {
+	if _, err := RestoreSnapshotCache(bytes.NewReader(nil), 0, 0); err == nil {
 		t.Fatal("expected EOF error")
 	}
 }
@@ -109,7 +109,7 @@ func TestSnapshotAfterCompaction(t *testing.T) {
 	if err := p.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSnapshot(&buf)
+	restored, err := RestoreSnapshotCache(&buf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,18 +20,17 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"encoding/json"
 
 	"qb5000"
 	"qb5000/internal/admission"
-	"qb5000/internal/tracefile"
 )
 
-// ErrNoObservations is returned by Maintain before any query has been
-// observed (there is no clock to maintain against yet).
+// ErrNoObservations is returned by Maintain while the forecaster is empty:
+// nothing observed and nothing restored, so there is no clock to maintain
+// against yet.
 var ErrNoObservations = errors.New("server: no observations yet")
 
 // DefaultMaxBodyBytes bounds an /observe request body when Config leaves
@@ -55,20 +54,16 @@ type Config struct {
 // Server wraps a Forecaster with HTTP handlers. The Forecaster is itself
 // safe for concurrent use (ingest goes to the sharded catalog's stripe
 // locks, maintenance publishes copy-on-write epochs), so the handlers call
-// it directly; the server only guards its own lastSeen clock. The two
-// admission gates shed overload before it reaches the catalog: a rejected
-// request costs one atomic counter bump, never a parse.
+// it directly and the server holds no state or lock of its own: Maintain's
+// clock is the controller's. The two admission gates shed overload before it
+// reaches the catalog: a rejected request costs one atomic counter bump,
+// never a parse.
 type Server struct {
 	f *qb5000.Forecaster
 
 	observeGate  *admission.Gate
 	forecastGate *admission.Gate
 	maxBody      int64
-
-	mu sync.Mutex
-	// lastSeen tracks the newest observation for Maintain's clock.
-	// qb5000:guardedby mu
-	lastSeen time.Time
 }
 
 // New wraps an existing Forecaster with unlimited admission.
@@ -108,18 +103,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Maintain re-clusters and retrains at the newest observed timestamp. The
+// Maintain re-clusters and retrains at the newest observed timestamp — the
+// controller's ingest clock, which a restored snapshot also advances. The
 // daemon's background loop and the /maintain endpoint both route through
 // here; cancelling ctx (daemon shutdown, client disconnect) aborts the
 // retrain at the next worker-pool boundary.
 func (s *Server) Maintain(ctx context.Context) error {
-	s.mu.Lock()
-	now := s.lastSeen
-	s.mu.Unlock()
+	now := s.f.Controller().LastSeen()
 	if now.IsZero() {
 		return ErrNoObservations
 	}
-	return s.f.MaintainContext(ctx, now)
+	return s.f.Maintain(ctx, now)
 }
 
 // ObserveResult reports one /observe call's outcome.
@@ -127,12 +121,6 @@ type ObserveResult struct {
 	Ingested int64 `json:"ingested"`
 	Rejected int64 `json:"rejected"`
 }
-
-// observeChunk bounds how many trace entries accumulate before the server
-// flushes them through ObserveMany: large enough that parsing amortizes the
-// per-stripe lock acquisitions, small enough to bound memory on unbounded
-// request bodies.
-const observeChunk = 1024
 
 // readErrRecorder remembers the last non-EOF error the underlying reader
 // produced. When MaxBytesReader cuts a body off mid-line, the trace scanner
@@ -166,36 +154,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.observeGate.Release(1)
 	body := &readErrRecorder{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
-	var res ObserveResult
-	var maxAt time.Time
-	batch := make([]qb5000.Observation, 0, observeChunk)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		out := s.f.ObserveMany(batch)
-		res.Ingested += out.Ingested
-		res.Rejected += out.Rejected
-		batch = batch[:0]
-	}
-	err := tracefile.Read(body, func(e tracefile.Entry) error {
-		batch = append(batch, qb5000.Observation{SQL: e.SQL, At: e.At, Count: e.Count})
-		if e.At.After(maxAt) {
-			maxAt = e.At
-		}
-		if len(batch) >= observeChunk {
-			flush()
-		}
-		return nil
-	})
-	// Entries accumulated before a mid-stream format error still fold, the
-	// same as the entry-at-a-time path always behaved.
-	flush()
-	s.mu.Lock()
-	if maxAt.After(s.lastSeen) {
-		s.lastSeen = maxAt
-	}
-	s.mu.Unlock()
+	// Entries before a mid-stream format error have already folded.
+	res, err := s.f.ObserveTrace(body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) || errors.As(body.err, &tooLarge) {
@@ -205,7 +165,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, res)
+	writeJSON(w, ObserveResult(res))
 }
 
 func (s *Server) handleMaintain(w http.ResponseWriter, r *http.Request) {

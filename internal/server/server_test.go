@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -107,7 +109,7 @@ func TestObserveCountsRejections(t *testing.T) {
 }
 
 func TestEndpointErrors(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, s := newTestServer(t)
 	// Maintain before any observations.
 	resp, _ := http.Post(ts.URL+"/maintain", "", nil)
 	if resp.StatusCode != http.StatusConflict {
@@ -139,12 +141,43 @@ func TestEndpointErrors(t *testing.T) {
 		t.Fatalf("POST /stats status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	// Malformed trace body.
-	resp, _ = http.Post(ts.URL+"/observe", "text/plain", strings.NewReader("no tab"))
+	// Malformed trace body: 400, but the entries before the bad line fold.
+	before := s.f.Stats().TotalQueries
+	resp, _ = http.Post(ts.URL+"/observe", "text/plain", strings.NewReader("2018-05-01T00:01:00Z\t3\tSELECT a FROM t\nno tab"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed-body status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+	if got := s.f.Stats().TotalQueries - before; got != 3 {
+		t.Fatalf("entries before the malformed line folded %d queries, want 3", got)
+	}
+}
+
+// TestMaintainAfterRestore: a forecaster restored from a snapshot already has
+// a clock (the restored LastSeen), so Maintain must work with no observe in
+// between and publish an epoch.
+func TestMaintainAfterRestore(t *testing.T) {
+	_, s := newTestServer(t)
+	if _, err := s.f.ObserveTrace(strings.NewReader(traceBody())); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := s.f.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	f, err := qb5000.Load(qb5000.Config{Model: "LR", Horizons: []time.Duration{time.Hour}, Seed: 1}, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(f).Maintain(context.Background()); err != nil {
+		t.Fatalf("maintain after restore: %v", err)
+	}
+	if st := f.Stats(); st.Clusters != 1 || st.TrackedClusters != 1 {
+		t.Fatalf("no epoch published after restore: %+v", st)
+	}
+	if _, err := f.Forecast(time.Hour); err != nil {
+		t.Fatalf("forecast after restore: %v", err)
+	}
 }
 
 func TestStatsAndTemplates(t *testing.T) {

@@ -19,14 +19,12 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"qb5000/internal/preprocess"
 )
 
-// Entry is one trace line.
-type Entry struct {
-	At    time.Time
-	Count int64
-	SQL   string
-}
+// Entry is one trace line: the arrival record the Pre-Processor folds.
+type Entry = preprocess.Observation
 
 // Writer emits trace entries.
 type Writer struct {

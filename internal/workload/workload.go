@@ -116,36 +116,6 @@ func (w *Workload) Replay(from, to time.Time, step time.Duration, fn func(Event)
 	return nil
 }
 
-// ReplayBatches walks [from, to) like Replay but hands fn whole batches of
-// up to batch events at a time, preserving emission order. It exists for
-// batch ingest paths (Forecaster.ObserveMany, Preprocessor.ProcessMany)
-// that amortize per-stripe lock acquisitions across many events.
-func (w *Workload) ReplayBatches(from, to time.Time, step time.Duration, batch int, fn func([]Event) error) error {
-	if batch <= 0 {
-		return fmt.Errorf("workload: non-positive batch size %d", batch)
-	}
-	buf := make([]Event, 0, batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := fn(buf)
-		buf = buf[:0]
-		return err
-	}
-	err := w.Replay(from, to, step, func(ev Event) error {
-		buf = append(buf, ev)
-		if len(buf) >= batch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
-}
-
 // ExpectedRate returns the noise-free total arrival rate (queries/minute)
 // across all active shapes at time at, including drift.
 func (w *Workload) ExpectedRate(at time.Time) float64 {

@@ -16,7 +16,7 @@
 //
 //	f := qb5000.New(qb5000.Config{Horizons: []time.Duration{time.Hour}})
 //	f.Observe("SELECT * FROM foo WHERE id = 42", time.Now())
-//	f.Maintain(time.Now())                  // recluster + train (periodic)
+//	f.Maintain(ctx, time.Now())             // recluster + train (periodic)
 //	preds, err := f.Forecast(time.Hour)     // expected rates per cluster
 package qb5000
 
@@ -30,6 +30,7 @@ import (
 	"qb5000/internal/core"
 	"qb5000/internal/fsx"
 	"qb5000/internal/preprocess"
+	"qb5000/internal/tracefile"
 )
 
 // Config tunes a Forecaster. The zero value reproduces the paper's operating
@@ -148,20 +149,13 @@ func (f *Forecaster) ObserveBatch(sql string, at time.Time, count int64) error {
 	return f.ctl.Ingest(sql, at, count)
 }
 
-// Observation is one query arrival for ObserveMany.
-type Observation struct {
-	// SQL is the raw query text.
-	SQL string
-	// At is the arrival time.
-	At time.Time
-	// Count is the number of identical arrivals; 0 is treated as 1,
-	// negative counts are rejected.
-	Count int64
-}
+// Observation is one query arrival: raw SQL, arrival time At, and Count
+// identical arrivals (0 is treated as 1, negative counts are rejected).
+type Observation = preprocess.Observation
 
-// ObserveManyResult reports the outcome of one ObserveMany call. Both
-// tallies are query-weighted: an observation with Count 5 adds 5 to
-// whichever side it lands on.
+// ObserveManyResult reports the outcome of one ObserveMany or ObserveTrace
+// call. Both tallies are query-weighted: an observation with Count 5 adds 5
+// to whichever side it lands on.
 type ObserveManyResult struct {
 	// Ingested counts queries folded into the catalog.
 	Ingested int64
@@ -170,44 +164,44 @@ type ObserveManyResult struct {
 	Rejected int64
 }
 
-// ObserveMany forwards a batch of observations in one call: all parsing
-// runs up front with no locks held, then the parsed arrivals are grouped by
-// catalog stripe so each stripe's lock is taken exactly once. This is the
-// preferred ingest path for trace replay and for servers draining request
-// bodies. For a fixed input order it produces exactly the catalog the
-// equivalent sequence of ObserveBatch calls would.
+// ObserveMany forwards a batch of observations in input order, producing
+// exactly the catalog the equivalent sequence of ObserveBatch calls would.
 func (f *Forecaster) ObserveMany(obs []Observation) ObserveManyResult {
-	converted := make([]preprocess.Observation, len(obs))
-	for i, o := range obs {
-		converted[i] = preprocess.Observation{SQL: o.SQL, At: o.At, Count: o.Count}
-	}
-	ingested, rejected := f.ctl.IngestMany(converted)
+	ingested, rejected := f.ctl.IngestMany(obs)
 	return ObserveManyResult{Ingested: ingested, Rejected: rejected}
+}
+
+// ObserveTrace reads a trace stream (timestamp<TAB>[count<TAB>]SQL per line,
+// see internal/tracefile) and forwards each entry as it is parsed, so memory
+// stays bounded on unbounded streams. It stops at the first malformed line
+// or read error; the entries before it have already been folded and are
+// counted in the result.
+func (f *Forecaster) ObserveTrace(r io.Reader) (ObserveManyResult, error) {
+	var res ObserveManyResult
+	err := tracefile.Read(r, func(e tracefile.Entry) error {
+		if f.ObserveBatch(e.SQL, e.At, e.Count) != nil {
+			res.Rejected += e.Count
+		} else {
+			res.Ingested += e.Count
+		}
+		return nil
+	})
+	return res, err
 }
 
 // Tick performs any due periodic maintenance (history compaction,
 // re-clustering, retraining) and reports whether a re-cluster ran. Call it
-// regularly — e.g. once per simulated or real hour.
-func (f *Forecaster) Tick(now time.Time) (bool, error) {
-	return f.TickContext(context.Background(), now)
-}
-
-// TickContext is Tick with cancellation: a cancelled ctx aborts clustering
-// and retraining between pool items, keeping the previous models. Ticks
-// serialize against each other and against Maintain, but never block
+// regularly — e.g. once per simulated or real hour. A cancelled ctx aborts
+// clustering and retraining between pool items, keeping the previous models.
+// Ticks serialize against each other and against Maintain, but never block
 // Observe or Forecast.
-func (f *Forecaster) TickContext(ctx context.Context, now time.Time) (bool, error) {
+func (f *Forecaster) Tick(ctx context.Context, now time.Time) (bool, error) {
 	return f.ctl.Tick(ctx, now)
 }
 
-// Maintain forces an immediate re-cluster and retrain.
-func (f *Forecaster) Maintain(now time.Time) error {
-	return f.MaintainContext(context.Background(), now)
-}
-
-// MaintainContext is Maintain with cancellation semantics matching
-// TickContext.
-func (f *Forecaster) MaintainContext(ctx context.Context, now time.Time) error {
+// Maintain forces an immediate re-cluster and retrain, with cancellation
+// semantics matching Tick.
+func (f *Forecaster) Maintain(ctx context.Context, now time.Time) error {
 	return f.ctl.Refresh(ctx, now)
 }
 

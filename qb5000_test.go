@@ -2,6 +2,7 @@ package qb5000
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Maintain(to); err != nil {
+	if err := f.Maintain(context.Background(), to); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,7 +112,7 @@ func TestTickThroughPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ran, err := f.Tick(at.Add(3 * time.Hour))
+	ran, err := f.Tick(context.Background(), at.Add(3*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestLogicalFeatureMode(t *testing.T) {
 	at := time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
 	f.Observe("SELECT a FROM t WHERE x = 1", at)
 	f.Observe("SELECT a FROM t WHERE y = 2", at)
-	if err := f.Maintain(at.Add(time.Hour)); err != nil {
+	if err := f.Maintain(context.Background(), at.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	if f.Stats().Clusters == 0 {
@@ -161,7 +162,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The restored instance can train and forecast from the restored
 	// histories alone.
-	if err := g.Maintain(to); err != nil {
+	if err := g.Maintain(context.Background(), to); err != nil {
 		t.Fatal(err)
 	}
 	preds, err := g.Forecast(time.Hour)

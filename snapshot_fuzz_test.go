@@ -2,6 +2,7 @@ package qb5000
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func snapshotBytes(t interface {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Maintain(base.Add(4 * time.Hour)); err != nil {
+	if err := f.Maintain(context.Background(), base.Add(4*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -50,7 +51,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Maintain(base.Add(2 * time.Hour)); err != nil {
+	if err := f.Maintain(context.Background(), base.Add(2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "rt.snap")
