@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-faults cover bench bench-ingest race lint lint-stats ci experiments experiments-quick vet vet-graph vet-lockgraph fmt clean fuzz-smoke
+.PHONY: all build test test-short test-faults cover bench bench-ingest race lint lint-stats ci experiments experiments-quick vet fmt clean fuzz-smoke
 
 all: build test
 
@@ -44,7 +44,7 @@ race:
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
-	$(GO) run ./cmd/qb5000vet -baseline .qb5000vet-baseline.json ./...
+	$(GO) run ./cmd/qb5000vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -77,27 +77,6 @@ experiments-quick:
 
 vet:
 	$(GO) vet ./...
-
-# Dump the interprocedural call graph qb5000vet analyzes; renders to SVG
-# when graphviz is installed.
-vet-graph:
-	$(GO) run ./cmd/qb5000vet -graph ./... > callgraph.dot
-	@if command -v dot >/dev/null 2>&1; then \
-		dot -Tsvg callgraph.dot -o callgraph.svg && echo "wrote callgraph.svg"; \
-	else \
-		echo "wrote callgraph.dot (install graphviz to render)"; \
-	fi
-
-# Dump the lock-acquisition order graph the lockorder analyzer assembles:
-# one node per lock class, dashed declared edges, dotted via-call edges,
-# red edges on a cycle.
-vet-lockgraph:
-	$(GO) run ./cmd/qb5000vet -lockgraph ./... > lockgraph.dot
-	@if command -v dot >/dev/null 2>&1; then \
-		dot -Tsvg lockgraph.dot -o lockgraph.svg && echo "wrote lockgraph.svg"; \
-	else \
-		echo "wrote lockgraph.dot (install graphviz to render)"; \
-	fi
 
 fmt:
 	gofmt -w .

@@ -372,6 +372,67 @@ func BenchmarkReplayIngest(b *testing.B) {
 	}
 }
 
+// forecastBenchState builds, once per process, a controller whose current
+// epoch tracks 1,000 member templates, each primed with 8 days of hourly
+// arrivals in one of four phase-shifted diurnal shapes.
+var forecastBenchState = sync.OnceValues(func() (*core.Controller, error) {
+	const members, days = 1000, 8
+	ctl := core.New(core.Config{
+		Model:                "LR",
+		Horizons:             []time.Duration{time.Hour},
+		Seed:                 1,
+		FingerprintCacheSize: 2 * members,
+	})
+	queries := make([]string, members)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("SELECT a, b FROM t%d WHERE x = 1 AND y = 2", i)
+	}
+	start := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+	for h := 0; h < days*24; h++ {
+		at := start.Add(time.Duration(h) * time.Hour)
+		for i, q := range queries {
+			phase := 2 * math.Pi * float64(h+6*(i%4)) / 24
+			if err := ctl.Ingest(q, at, int64(20+i%7+int(15*math.Sin(phase)))); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := ctl.Refresh(context.Background(), start.Add(days*24*time.Hour)); err != nil {
+		return nil, err
+	}
+	tracked := 0
+	for _, cl := range ctl.Tracked() {
+		tracked += len(cl.Members)
+	}
+	if tracked != members {
+		return nil, fmt.Errorf("epoch tracks %d members, want %d", tracked, members)
+	}
+	return ctl, nil
+})
+
+var forecastSink []core.ClusterForecast
+
+// BenchmarkForecast measures Controller.Forecast at catalog-wide scale
+// (1,000 tracked members × 8 days of history), the one read path nothing
+// else under `go test` times. No threshold: it exists so a change to the
+// forecast path can quote its before-number from main.
+func BenchmarkForecast(b *testing.B) {
+	if testing.Short() {
+		b.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")
+	}
+	ctl, err := forecastBenchState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if forecastSink, err = ctl.Forecast(time.Hour); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func newBenchClusterer(parallelism int) *cluster.Clusterer {
 	return cluster.New(cluster.Options{Rho: 0.8, Seed: 2, Parallelism: parallelism})
 }

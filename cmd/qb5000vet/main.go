@@ -12,16 +12,10 @@
 // mandatory. Suppressions never apply to noclock findings inside the strict
 // model packages.
 //
-// Output modes and debt management:
+// Other modes:
 //
-//	-format=text|json|sarif   finding encoding (sarif for CI artifact upload)
-//	-baseline=FILE            fail on findings not recorded in FILE and on
-//	                          stale entries FILE records that no longer occur
-//	-write-baseline=FILE      record current findings as the accepted baseline
-//	-debt                     report //lint:ignore suppressions per analyzer
-//	-graph                    emit the interprocedural call graph as DOT
-//	-lockgraph                emit the lock-acquisition order graph as DOT
-//	-list                     list the analyzers and exit
+//	-debt   report //lint:ignore suppressions per analyzer
+//	-list   list the analyzers and exit
 package main
 
 import (
@@ -35,13 +29,8 @@ import (
 
 func main() {
 	var (
-		list          = flag.Bool("list", false, "list the analyzers and exit")
-		format        = flag.String("format", "text", "output format: text, json, or sarif")
-		baselinePath  = flag.String("baseline", "", "baseline file; only findings not recorded there fail the run")
-		writeBaseline = flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-		debt          = flag.Bool("debt", false, "report //lint:ignore suppression debt per analyzer and exit")
-		graph         = flag.Bool("graph", false, "emit the interprocedural call graph as DOT and exit")
-		lockgraph     = flag.Bool("lockgraph", false, "emit the lock-acquisition order graph as DOT and exit")
+		list = flag.Bool("list", false, "list the analyzers and exit")
+		debt = flag.Bool("debt", false, "report //lint:ignore suppression debt per analyzer and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: qb5000vet [flags] [packages]\n\n")
@@ -56,10 +45,6 @@ func main() {
 		}
 		return
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "qb5000vet: unknown -format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -69,10 +54,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qb5000vet:", err)
 		os.Exit(2)
-	}
-	root, err := os.Getwd()
-	if err != nil {
-		root = ""
 	}
 
 	if *debt {
@@ -85,25 +66,9 @@ func main() {
 	// resolve instead of degrading to the local view.
 	prog := lint.NewProgram(pkgs)
 
-	if *graph {
-		if err := lint.WriteDOT(os.Stdout, prog.Graph); err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *lockgraph {
-		if err := lint.WriteLockDOT(os.Stdout, prog.LockGraph()); err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	var findings []lint.Finding
 	typeErrors := 0
 	// Non-test and in-package-test units share files, so the same finding can
-	// surface twice; dedupe on identity so counts and baselines stay exact.
+	// surface twice; dedupe on identity so the count stays exact.
 	seen := make(map[string]bool)
 	for _, pkg := range pkgs {
 		// A package that no longer type-checks would silently produce no
@@ -118,69 +83,10 @@ func main() {
 				continue
 			}
 			seen[id] = true
-			findings = append(findings, f)
-		}
-	}
-
-	if *writeBaseline != "" {
-		out, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-		werr := lint.NewBaseline(root, findings).Write(out)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", werr)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "qb5000vet: wrote %d finding(s) to baseline %s\n", len(findings), *writeBaseline)
-		return
-	}
-
-	staleEntries := 0
-	if *baselinePath != "" {
-		in, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-		base, err := lint.ReadBaseline(in)
-		in.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-		var stale []string
-		findings, stale = base.Filter(root, findings)
-		// The baseline is a ratchet, not a ledger: an entry whose finding
-		// was fixed must be deleted, or debt silently re-accumulates under
-		// it. Stale entries therefore fail the run.
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "qb5000vet: stale baseline entry (the finding is gone — delete it): %s\n", s)
-		}
-		staleEntries = len(stale)
-	}
-
-	switch *format {
-	case "json":
-		if err := lint.WriteJSON(os.Stdout, root, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-	case "sarif":
-		if err := lint.WriteSARIF(os.Stdout, root, lint.All, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "qb5000vet:", err)
-			os.Exit(2)
-		}
-	default:
-		for _, f := range findings {
 			fmt.Println(f)
 		}
 	}
-	if total := len(findings) + typeErrors + staleEntries; total > 0 {
+	if total := len(seen) + typeErrors; total > 0 {
 		fmt.Fprintf(os.Stderr, "qb5000vet: %d finding(s)\n", total)
 		os.Exit(1)
 	}

@@ -247,8 +247,9 @@ func TestShardedIngestStress(t *testing.T) {
 	})
 }
 
-// TestDeadlockSentinel is the lockorder analyzer's dynamic counterpart: it
-// drives the exact lock neighborhood the static analyzer models — fpShard
+// TestDeadlockSentinel is the gate on lock-order deadlocks (qb5000vet's
+// static lockorder analyzer was retired in its favour): it drives the whole
+// lock neighborhood of ingest and maintenance — fpShard
 // RLock→read→RUnlock on cache hits, catalogShard fold locks, the fpCache
 // insert/evict path (a deliberately tiny cache keeps clock evictions
 // constant), and the Maintain loop that sweeps both layers — and fails with

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
+	"qb5000/internal/preprocess"
 	"qb5000/internal/workload"
 )
 
@@ -156,6 +158,78 @@ func TestLastSeenTracksIngest(t *testing.T) {
 	ctl.Ingest("SELECT a FROM t WHERE x = 2", at.Add(-time.Hour), 1)
 	if !ctl.LastSeen().Equal(at) {
 		t.Fatal("LastSeen moved backwards")
+	}
+}
+
+// TestRejectedObservationLeavesClock: the controller's clock is the only
+// clock and it trusts input, so only an observation that folded may move it.
+// A rejected line dated 2099 (or 1999) must leave LastSeen, firstSeen and
+// the next Forecast — whose input window ends at LastSeen — untouched,
+// through Ingest and IngestMany alike; an accepted later line still advances
+// the clock.
+func TestRejectedObservationLeavesClock(t *testing.T) {
+	w := workload.BusTracker(3)
+	ctl := New(Config{Model: "LR", Horizons: []time.Duration{time.Hour}, Seed: 1})
+	to := replayDays(t, ctl, w, 8)
+	if err := ctl.Refresh(context.Background(), to); err != nil {
+		t.Fatal(err)
+	}
+	rates := func() []float64 {
+		t.Helper()
+		preds, err := ctl.Forecast(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(preds))
+		for i, p := range preds {
+			out[i] = p.TotalRate
+		}
+		return out
+	}
+	first, last, before := ctl.firstSeen(), ctl.LastSeen(), rates()
+
+	const goodSQL, badSQL = "SELECT a FROM t WHERE x = 1", "this is not sql ("
+	future := time.Date(2099, 1, 1, 0, 0, 0, 0, time.UTC)
+	past := time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC)
+	single := func(o preprocess.Observation) bool { return ctl.Ingest(o.SQL, o.At, o.Count) == nil }
+	many := func(o preprocess.Observation) bool {
+		in, _ := ctl.IngestMany([]preprocess.Observation{o})
+		return in > 0
+	}
+	for _, tc := range []struct {
+		name   string
+		ingest func(preprocess.Observation) bool
+		obs    preprocess.Observation
+	}{
+		{"Ingest/unparseable/future", single, preprocess.Observation{SQL: badSQL, At: future, Count: 1}},
+		{"Ingest/unparseable/past", single, preprocess.Observation{SQL: badSQL, At: past, Count: 1}},
+		{"Ingest/negative count", single, preprocess.Observation{SQL: goodSQL, At: future, Count: -1}},
+		{"IngestMany/unparseable/future", many, preprocess.Observation{SQL: badSQL, At: future, Count: 1}},
+		{"IngestMany/unparseable/past", many, preprocess.Observation{SQL: badSQL, At: past, Count: 1}},
+		{"IngestMany/negative count", many, preprocess.Observation{SQL: goodSQL, At: future, Count: -1}},
+	} {
+		if tc.ingest(tc.obs) {
+			t.Fatalf("%s: observation was accepted", tc.name)
+		}
+		if got := ctl.LastSeen(); !got.Equal(last) {
+			t.Errorf("%s: LastSeen moved %v -> %v", tc.name, last, got)
+		}
+		if got := ctl.firstSeen(); !got.Equal(first) {
+			t.Errorf("%s: firstSeen moved %v -> %v", tc.name, first, got)
+		}
+		if got := rates(); !slices.Equal(got, before) {
+			t.Errorf("%s: forecast changed %v -> %v", tc.name, before, got)
+		}
+	}
+
+	for i, ingest := range []func(preprocess.Observation) bool{single, many} {
+		later := last.Add(time.Duration(i+1) * time.Minute)
+		if !ingest(preprocess.Observation{SQL: goodSQL, At: later, Count: 1}) {
+			t.Fatal("well-formed observation rejected")
+		}
+		if got := ctl.LastSeen(); !got.Equal(later) {
+			t.Errorf("accepted line at %v left LastSeen at %v", later, got)
+		}
 	}
 }
 

@@ -244,21 +244,31 @@ func (c *Controller) noteSeen(at time.Time) {
 
 // Ingest forwards one query observation (with an arrival count, for batched
 // replay) into the Pre-Processor. It contends only on the catalog stripe
-// the query's template hashes to, never on maintenance.
+// the query's template hashes to, never on maintenance. Only an observation
+// that folded advances the clock: a rejected line's timestamp is as
+// untrusted as its SQL.
 func (c *Controller) Ingest(sql string, at time.Time, count int64) error {
+	if _, err := c.pre.ProcessBatch(sql, at, count); err != nil {
+		return err
+	}
 	c.noteSeen(at)
-	_, err := c.pre.ProcessBatch(sql, at, count)
-	return err
+	return nil
 }
 
 // IngestMany forwards a batch of observations in input order. It returns
 // query-weighted counts of how much folded and how much was rejected
-// (unparseable SQL or negative counts).
+// (unparseable SQL or negative counts). Like Ingest, it advances the clock
+// per folded observation, so it hands ProcessMany one observation at a time.
 func (c *Controller) IngestMany(obs []preprocess.Observation) (ingested, rejected int64) {
 	for i := range obs {
-		c.noteSeen(obs[i].At)
+		in, rej := c.pre.ProcessMany(obs[i : i+1])
+		if in > 0 {
+			c.noteSeen(obs[i].At)
+		}
+		ingested += in
+		rejected += rej
 	}
-	return c.pre.ProcessMany(obs)
+	return ingested, rejected
 }
 
 // Preprocessor exposes the template catalog (itself safe for concurrent

@@ -18,10 +18,9 @@ import (
 type annotationSite uint8
 
 const (
-	onFunc   annotationSite = 1 << iota // a function declaration's doc comment
-	onField                             // a struct field's doc or trailing comment
-	onDecl                              // the line of, or directly above, a var, := or field declaration
-	anywhere                            // any comment of a non-test file
+	onFunc  annotationSite = 1 << iota // a function declaration's doc comment
+	onField                            // a struct field's doc or trailing comment
+	onDecl                             // the line of, or directly above, a var, := or field declaration
 )
 
 // An annotationSpec is one row of the grammar.
@@ -39,11 +38,10 @@ func grammar(args string) *regexp.Regexp { return regexp.MustCompile(`^` + args 
 // (qb5000:noalock) would otherwise be silently ignored, quietly voiding the
 // contract it meant to declare, so keys outside the table are findings.
 var annotationTable = []annotationSpec{
-	{"bounded", grammar(`(?:\s.*)?`), onFunc},                   // free-text audit reason
-	{"durable", grammar(`\s*(.*)`), onFunc | onDecl},            // parameter names on a func, bare on a declaration
-	{"guardedby", grammar(`\s+(\S+)\s*`), onField},              // sibling mutex field, or "atomic"
-	{"locked", grammar(`\s+(\S+)\s*`), onFunc},                  // receiver mutex field held on entry
-	{"lockorder", grammar(`\s+(\S+)\s*<\s*(\S+)\s*`), anywhere}, // <classA> < <classB>
+	{"bounded", grammar(`(?:\s.*)?`), onFunc},        // free-text audit reason
+	{"durable", grammar(`\s*(.*)`), onFunc | onDecl}, // parameter names on a func, bare on a declaration
+	{"guardedby", grammar(`\s+(\S+)\s*`), onField},   // sibling mutex field, or "atomic"
+	{"locked", grammar(`\s+(\S+)\s*`), onFunc},       // receiver mutex field held on entry
 	{"noalloc", grammar(`\s*`), onFunc},
 	{"serving", grammar(`\s*`), onFunc},
 }
@@ -75,7 +73,7 @@ func annotationKeys() string {
 // scanAnnotations calls f for every annotation among comments whose key the
 // table reads at site. args holds the argument submatches, or is nil when
 // the text after the key does not fit the key's grammar (a malformed
-// annotation — most consumers skip those, lockorder reports them).
+// annotation, which consumers skip).
 func scanAnnotations(site annotationSite, comments []*ast.Comment, f func(c *ast.Comment, key string, args []string)) {
 	for _, c := range comments {
 		m := annotationKeyRe.FindStringSubmatch(c.Text)

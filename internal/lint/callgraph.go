@@ -1,8 +1,8 @@
 package lint
 
-// This file is the interprocedural layer under the goleak / ctxprop /
-// handlelife analyzers: a package-set call graph over the typed ASTs the
-// loader already produces, condensed into strongly connected components so
+// This file is the interprocedural layer under the goleak / handlelife
+// analyzers: a package-set call graph over the typed ASTs the loader
+// already produces, condensed into strongly connected components so
 // per-function summaries (summary.go) can be computed bottom-up.
 //
 // Soundness caveats, by construction:
@@ -26,9 +26,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"io"
-	"sort"
-	"strings"
 )
 
 // A FuncNode is one function in the program call graph: a declared function
@@ -350,6 +347,22 @@ func collectEdges(g *CallGraph, node *FuncNode, litNodes map[*ast.FuncLit]*FuncN
 	})
 }
 
+// goDeferOperands collects the calls that are the direct operand of a go or
+// defer statement; they do not run at their textual position.
+func goDeferOperands(body *ast.BlockStmt) map[*ast.CallExpr]bool {
+	ops := make(map[*ast.CallExpr]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.GoStmt:
+			ops[st.Call] = true
+		case *ast.DeferStmt:
+			ops[st.Call] = true
+		}
+		return true
+	})
+	return ops
+}
+
 // staticCallee resolves call to the *types.Func it statically invokes, or
 // nil for interface dispatch, function values, builtins, and literals.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -446,54 +459,4 @@ func tarjan[N comparable](nodes []N, succs func(N) []N) [][]N {
 		}
 	}
 	return out
-}
-
-// WriteDOT renders the call graph in Graphviz DOT form (the driver's -graph
-// flag). Nodes are grouped per package; go edges are red and labeled, defer
-// edges dashed, dynamic may-call edges dotted.
-func WriteDOT(w io.Writer, g *CallGraph) error {
-	bw := &strings.Builder{}
-	fmt.Fprintln(bw, "digraph qb5000 {")
-	fmt.Fprintln(bw, "  rankdir=LR;")
-	fmt.Fprintln(bw, "  node [shape=box, fontsize=10];")
-
-	byPkg := make(map[string][]*FuncNode)
-	var pkgs []string
-	for _, n := range g.Order {
-		if _, ok := byPkg[n.Pkg.Path]; !ok {
-			pkgs = append(pkgs, n.Pkg.Path)
-		}
-		byPkg[n.Pkg.Path] = append(byPkg[n.Pkg.Path], n)
-	}
-	sort.Strings(pkgs)
-	for i, p := range pkgs {
-		fmt.Fprintf(bw, "  subgraph cluster_%d {\n    label=%q;\n", i, p)
-		for _, n := range byPkg[p] {
-			label := strings.TrimPrefix(n.ID, p+".")
-			fmt.Fprintf(bw, "    %q [label=%q];\n", n.ID, label)
-		}
-		fmt.Fprintln(bw, "  }")
-	}
-	for _, n := range g.Order {
-		for _, e := range n.Out {
-			var attrs []string
-			if e.Go {
-				attrs = append(attrs, `color=red`, `label="go"`)
-			}
-			if e.Defer {
-				attrs = append(attrs, `style=dashed`, `label="defer"`)
-			}
-			if e.Dynamic {
-				attrs = append(attrs, `style=dotted`)
-			}
-			if len(attrs) > 0 {
-				fmt.Fprintf(bw, "  %q -> %q [%s];\n", e.Caller.ID, e.Callee.ID, strings.Join(attrs, ", "))
-			} else {
-				fmt.Fprintf(bw, "  %q -> %q;\n", e.Caller.ID, e.Callee.ID)
-			}
-		}
-	}
-	fmt.Fprintln(bw, "}")
-	_, err := io.WriteString(w, bw.String())
-	return err
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -149,9 +148,6 @@ func TestFuncSummaries(t *testing.T) {
 	if !sum("spawnAndDefer").Spawns {
 		t.Error("spawnAndDefer must be Spawns")
 	}
-	if !sum("spawnAndDefer").AcceptsCtx {
-		t.Error("spawnAndDefer must be AcceptsCtx")
-	}
 	if !sum("closesArg").Closes[0] {
 		t.Error("closesArg must close its first parameter")
 	}
@@ -171,25 +167,6 @@ func TestFuncSummaries(t *testing.T) {
 	// implementations but proves nothing by it.
 	if s := sum("dispatch"); s.MayBlockForever || s.Spawns {
 		t.Error("dispatch must not inherit bits over dynamic edges")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	prog := loadCallGraphFixture(t)
-	var sb strings.Builder
-	if err := WriteDOT(&sb, prog.Graph); err != nil {
-		t.Fatalf("WriteDOT: %v", err)
-	}
-	dot := sb.String()
-	for _, want := range []string{
-		"digraph qb5000 {",
-		`"fixture/callgraph.spawnAndDefer" -> "fixture/callgraph.worker" [color=red, label="go"];`,
-		`"fixture/callgraph.spawnAndDefer" -> "fixture/callgraph.cleanup" [style=dashed, label="defer"];`,
-		`style=dotted`,
-	} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q", want)
-		}
 	}
 }
 

@@ -509,7 +509,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // A setFact is the lattice element the flow analyses share: a finite map
 // from a key (a lock expression, an open handle, an admission gate, a
-// synced file) to the witness that put it there (a position, a lock mode).
+// synced file) to the witness that put it there (a position).
 // Facts are persistent — with and without copy before mutating — because
 // forwardFlow holds the same fact on several edges. union and intersect are
 // the two joins: union for may-analyses (the key holds on some path into
@@ -553,8 +553,7 @@ func (s setFact[K, V]) union(b setFact[K, V]) setFact[K, V] {
 	return n
 }
 
-// intersect keeps s's witness for the keys both sides hold; the result is
-// always a fresh map the caller may adjust.
+// intersect keeps s's witness for the keys both sides hold.
 func (s setFact[K, V]) intersect(b setFact[K, V]) setFact[K, V] {
 	n := make(setFact[K, V])
 	for k, v := range s {

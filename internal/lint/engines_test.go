@@ -13,7 +13,7 @@ import (
 // The engine tests drive every configuration of the must-use and obligation
 // engines over a minimal in-memory body, so an engine regression is
 // localised without the golden fixtures. Imports resolve against the stub
-// packages below: just enough of os, failpoint and admission for the
+// packages below: just enough of os, sync, failpoint and admission for the
 // configurations' predicates (which match on package path and type name).
 var stubSources = map[string]string{
 	"os": `package os
@@ -23,6 +23,11 @@ func (*File) Sync() error  { return nil }
 func Open(string) (*File, error)   { return nil, nil }
 func Create(string) (*File, error) { return nil, nil }
 func Rename(a, b string) error     { return nil }
+`,
+	"sync": `package sync
+type Mutex struct{}
+func (*Mutex) Lock()   {}
+func (*Mutex) Unlock() {}
 `,
 	failpointPkgPath: `package failpoint
 func Register(s string) string { return s }

@@ -1,123 +1,9 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/ast"
-	"go/token"
-	"strings"
 	"testing"
 )
-
-func fakeFindings() []Finding {
-	return []Finding{
-		{Pos: token.Position{Filename: "/repo/internal/a.go", Line: 10, Column: 2}, Analyzer: "errflow", Message: "call to f.Close discards its error"},
-		{Pos: token.Position{Filename: "/repo/internal/a.go", Line: 10, Column: 2}, Analyzer: "errflow", Message: "call to f.Close discards its error"},
-		{Pos: token.Position{Filename: "/repo/cmd/b.go", Line: 3, Column: 1}, Analyzer: "guardedby", Message: "access without lock"},
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, "/repo", fakeFindings()); err != nil {
-		t.Fatal(err)
-	}
-	var out []jsonFinding
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d findings, want 3", len(out))
-	}
-	if out[0].File != "internal/a.go" {
-		t.Errorf("path not relativized: %q", out[0].File)
-	}
-	if out[2].Analyzer != "guardedby" || out[2].Line != 3 {
-		t.Errorf("finding fields lost: %+v", out[2])
-	}
-}
-
-func TestWriteSARIF(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, "/repo", All, fakeFindings()); err != nil {
-		t.Fatal(err)
-	}
-	var log sarifLog
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("bad log shape: version=%q runs=%d", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "qb5000vet" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	// Every analyzer plus the "lint" pseudo-rule must be present, and every
-	// result's ruleId must resolve to a rule.
-	rules := make(map[string]bool)
-	for _, r := range run.Tool.Driver.Rules {
-		rules[r.ID] = true
-	}
-	if len(rules) != len(All)+1 || !rules["lint"] {
-		t.Errorf("rule table incomplete: %v", rules)
-	}
-	if len(run.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(run.Results))
-	}
-	for _, res := range run.Results {
-		if !rules[res.RuleID] {
-			t.Errorf("result ruleId %q has no rule", res.RuleID)
-		}
-		uri := res.Locations[0].Physical.Artifact.URI
-		if strings.HasPrefix(uri, "/") {
-			t.Errorf("artifact URI not repo-relative: %q", uri)
-		}
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := fakeFindings()
-	base := NewBaseline("/repo", findings)
-
-	var buf bytes.Buffer
-	if err := base.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	reread, err := ReadBaseline(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The exact findings are fully absorbed.
-	fresh, stale := reread.Filter("/repo", findings)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("round trip not clean: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// A new finding is fresh; line moves are not (keys carry no line).
-	moved := findings
-	moved[0].Pos.Line = 99
-	extra := append(moved, Finding{
-		Pos: token.Position{Filename: "/repo/new.go", Line: 1}, Analyzer: "errflow", Message: "brand new",
-	})
-	fresh, stale = reread.Filter("/repo", extra)
-	if len(fresh) != 1 || fresh[0].Message != "brand new" {
-		t.Fatalf("fresh = %v, want only the new finding", fresh)
-	}
-	if len(stale) != 0 {
-		t.Fatalf("stale = %v, want none", stale)
-	}
-
-	// A fixed finding leaves its baseline entry stale.
-	fresh, stale = reread.Filter("/repo", findings[:1])
-	if len(fresh) != 0 {
-		t.Fatalf("fresh = %v, want none", fresh)
-	}
-	if len(stale) != 2 {
-		t.Fatalf("stale = %v, want the drained errflow count and the guardedby entry", stale)
-	}
-}
 
 func TestDirectiveUses(t *testing.T) {
 	const src = `package p

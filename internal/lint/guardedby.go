@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // GuardedBy verifies lock-discipline annotations. A struct field annotated
@@ -21,14 +22,14 @@ import (
 // restricts a field to method-call access (Load/Store/Add/CompareAndSwap on
 // the sync/atomic wrapper types), flagging copies or address escapes.
 //
-// The held-lock facts come from the one must-hold flow of the suite
-// (heldLocks in lockorder.go): branches intersect, so a lock taken on only
-// one arm does not count; deferred unlocks run at function exit, so the
-// Lock-then-defer-Unlock idiom keeps the lock held below; a lock()-helper
-// callee's HeldAtExit classes count as held after the call. Function
-// literals start with no locks held — a closure may run
-// on another goroutine — so guarded accesses inside pool workers must either
-// lock or carry an audited //lint:ignore with the reason the access is safe.
+// The held-lock facts come from the must-hold flow below (heldLocks):
+// branches intersect, so a lock taken on only one arm does not count;
+// deferred unlocks run at function exit, so the Lock-then-defer-Unlock idiom
+// keeps the lock held below; a lock()-helper callee's HeldAtExit classes
+// count as held after the call. Function literals start with no locks held
+// — a closure may run on another goroutine — so guarded accesses inside pool
+// workers must either lock or carry an audited //lint:ignore with the reason
+// the access is safe.
 // Composite literals (the value under construction is not yet shared) and
 // _test.go files are exempt.
 var GuardedBy = &Analyzer{
@@ -141,7 +142,7 @@ func runGuardedBy(p *Pass) {
 	eachFuncBody(p.Unit, func(fb *funcBody) {
 		parents := p.parents(fb.file)
 		reported := make(map[ast.Node]bool)
-		heldLocks(p.Prog, p.Unit, fb, nil, func(n ast.Node, held heldFact) {
+		heldLocks(p.Prog, p.Unit, fb, func(n ast.Node, held heldFact) {
 			// Elements synthesized for `range` clauses reuse sub-expressions of
 			// the real statement; dedupe so a node is checked once.
 			inspectShallow(n, func(m ast.Node) bool {
@@ -215,4 +216,103 @@ func (p *Pass) checkLockedCall(guards *guardTable, call *ast.CallExpr, held held
 	reported[call] = true
 	p.Reportf(call.Pos(), "call to %s requires %s held (qb5000:locked %s in its declaration)",
 		types.ExprString(call.Fun), key, guard)
+}
+
+// heldFact is the must-hold fact: the set of expression-rendered mutex keys
+// ("c.mu", so distinct receivers of one type stay distinct) locked on every
+// path into a point. Read and write locks count alike.
+type heldFact = setFact[string, struct{}]
+
+// heldLocks solves the held-lock flow over one function body and replays it:
+// visit sees every element with the locks provably held on every path into
+// it.
+func heldLocks(prog *Program, u *Package, fb *funcBody, visit func(ast.Node, heldFact)) {
+	goDefer := goDeferOperands(fb.body)
+	transfer := func(f heldFact, n ast.Node) heldFact {
+		return lockStep(prog, u, f, n, goDefer)
+	}
+	forwardFlow(buildCFG(fb.body), lockedEntry(prog, fb), transfer, heldFact.intersect, heldFact.equal, visit)
+}
+
+// lockedEntry is the fact a body starts with. A declaration annotated
+// qb5000:locked <mu> starts with the receiver's <mu> held; everything else —
+// function literals included, since a closure may run on another goroutine —
+// starts with no locks held.
+func lockedEntry(prog *Program, fb *funcBody) heldFact {
+	if fb.lit != nil {
+		return heldFact{}
+	}
+	recv := receiverName(fb.decl)
+	args := prog.Graph.NodeFor(fb.decl).ann["locked"]
+	if args == nil || recv == "" {
+		return heldFact{}
+	}
+	return heldFact{recv + "." + args[0]: {}}
+}
+
+func receiverName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return ""
+	}
+	return fd.Recv.List[0].Names[0].Name
+}
+
+// lockStep is the transfer function of the held-lock flow. Defer statements
+// leave the fact unchanged (deferred unlocks run at exit — the
+// Lock-then-defer-Unlock idiom keeps the lock held below); go statements run
+// their operand on another goroutine and are opaque.
+func lockStep(prog *Program, u *Package, f heldFact, n ast.Node, goDefer map[*ast.CallExpr]bool) heldFact {
+	switch n.(type) {
+	case *ast.DeferStmt, *ast.GoStmt:
+		return f
+	}
+	inspectShallow(n, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok && !goDefer[call] {
+			f = lockCall(prog, u, f, call)
+		}
+		return true
+	})
+	return f
+}
+
+// lockCall applies one call's effect on the held set.
+func lockCall(prog *Program, u *Package, f heldFact, call *ast.CallExpr) heldFact {
+	if name, onMutex := mutexMethod(u.Info, call); onMutex {
+		key := types.ExprString(call.Fun.(*ast.SelectorExpr).X)
+		switch name {
+		case "Lock", "RLock":
+			return f.with(key, struct{}{})
+		case "Unlock", "RUnlock":
+			return f.without(key)
+		}
+		return f
+	}
+	tf := staticCallee(u.Info, call)
+	if tf == nil {
+		return f
+	}
+	cs := prog.Summaries[funcID(tf)]
+	if cs == nil {
+		return f
+	}
+	// A lock()-helper callee leaves locks held: thread them into the fact so
+	// the matching later Unlock (keyed the same way) releases them.
+	for _, class := range sortedKeys(cs.HeldAtExit) {
+		f = f.with(heldKeyFor(call, class), struct{}{})
+	}
+	return f
+}
+
+// heldKeyFor renders the held-set key for a class a callee left locked: the
+// call's receiver expression plus the class's field segment, so that the
+// caller's own later "<recv>.<field>.Unlock()" releases it.
+func heldKeyFor(call *ast.CallExpr, class string) string {
+	field := class
+	if i := strings.LastIndex(class, "."); i >= 0 {
+		field = class[i+1:]
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		return types.ExprString(sel.X) + "." + field
+	}
+	return field
 }

@@ -3,8 +3,8 @@
 // only meaningful if retraining the same trace yields bit-identical models,
 // so the analyzers forbid the usual sources of silent nondeterminism —
 // unseeded global RNG, wall-clock reads in model code, order-dependent map
-// iteration, unthreaded contexts, and exact float comparison — rather than
-// relying on spot tests to catch regressions.
+// iteration, and exact float comparison — rather than relying on spot tests
+// to catch regressions.
 //
 // Findings can be suppressed with a directive on the offending line or on
 // the line directly above it:
@@ -47,7 +47,7 @@ type Analyzer struct {
 }
 
 // All is the full qb5000vet suite.
-var All = []*Analyzer{SeededRand, NoClock, MapOrder, CtxFirst, FloatEq, GuardedBy, SliceShare, ErrFlow, GoLeak, CtxProp, HandleLife, LockOrder, NoAlloc, Durable, FaultPath, Bounded, ShedFlow}
+var All = []*Analyzer{SeededRand, NoClock, MapOrder, FloatEq, GuardedBy, ErrFlow, GoLeak, HandleLife, NoAlloc, Durable, FaultPath, Bounded, ShedFlow}
 
 // A Pass carries one type-checked package through the analyzers.
 type Pass struct {
@@ -60,8 +60,7 @@ type Pass struct {
 	// every unit of the run.
 	Prog *Program
 
-	// Unit is the package unit under analysis, so program-wide analyzers
-	// (lockorder) can attribute their per-unit findings.
+	// Unit is the package unit under analysis.
 	Unit *Package
 
 	analyzer *Analyzer

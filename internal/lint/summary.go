@@ -15,15 +15,6 @@ import (
 // function. Bits are conservative in the quiet direction: "false" always
 // means "not proven", never "proven absent".
 type FuncSummary struct {
-	// AcceptsCtx: the function has a context.Context parameter.
-	AcceptsCtx bool
-	// ForwardsCtx: some call in the body receives a context-typed argument.
-	ForwardsCtx bool
-	// UsesFreshCtx: the function calls context.Background()/context.TODO(),
-	// directly or through a static callee that does not itself accept a
-	// context (a ctx-accepting callee insulates its callers: its fresh
-	// context is its own business, e.g. a nil-ctx guard).
-	UsesFreshCtx bool
 	// Spawns: the function starts a goroutine, directly or via static callees.
 	Spawns bool
 	// MayBlockForever: the body contains an unbounded loop (for with no
@@ -38,9 +29,6 @@ type FuncSummary struct {
 	// or by forwarding a ReturnsOpen callee's result); callers inherit the
 	// close obligation.
 	ReturnsOpen bool
-	// AcquiresLock / ReleasesLock: the body calls Lock/RLock (resp.
-	// Unlock/RUnlock) on a sync.Mutex or sync.RWMutex.
-	AcquiresLock, ReleasesLock bool
 	// Allocates: the body performs a heap allocation the noalloc analyzer
 	// would flag (make/new, escaping composites, fmt, conversions, closures,
 	// map writes, goroutine spawns), directly or via a static non-go callee.
@@ -63,12 +51,10 @@ type FuncSummary struct {
 	// Closes marks parameters the function closes on some path (including
 	// via static callees); key -1 is the method receiver.
 	Closes map[int]bool
-	// Acquires is the set of lock classes (see lockClassOf) the function may
-	// acquire, directly or via static non-go callees.
-	Acquires map[string]bool
-	// HeldAtExit is the set of lock classes the function acquires and does
-	// not release before returning — the lock()-helper shape. A class with
-	// any Unlock/RUnlock in the body (deferred ones included) is excluded.
+	// HeldAtExit is the set of lock classes (see lockClassOf) the function
+	// acquires, directly or via static non-go callees, and does not release
+	// before returning — the lock()-helper shape. A class with any
+	// Unlock/RUnlock in the body (deferred ones included) is excluded.
 	HeldAtExit map[string]bool
 }
 
@@ -79,13 +65,12 @@ type Program struct {
 	Graph     *CallGraph
 	Summaries map[string]*FuncSummary
 
-	// Lazily built program-wide artifacts: the lock-order graph (lockorder),
-	// the failpoint registry cross-reference (faultpath), and the nodes
-	// reachable from qb5000:serving entry points (bounded). The annotation
-	// contracts need no table of their own: they read FuncNode.ann.
-	lockGraph *LockOrderGraph
-	failpts   *fpRegistry
-	serving   map[*FuncNode]bool
+	// Lazily built program-wide artifacts: the failpoint registry
+	// cross-reference (faultpath) and the nodes reachable from qb5000:serving
+	// entry points (bounded). The annotation contracts need no table of
+	// their own: they read FuncNode.ann.
+	failpts *fpRegistry
+	serving map[*FuncNode]bool
 }
 
 // NewProgram builds the call graph and summaries over the given units.
@@ -107,7 +92,6 @@ func computeSummaries(g *CallGraph) map[string]*FuncSummary {
 		sums[n.ID] = &FuncSummary{
 			Bounded:    true, // greatest fixed point: cleared, never set
 			Closes:     make(map[int]bool),
-			Acquires:   make(map[string]bool),
 			HeldAtExit: make(map[string]bool),
 		}
 	}
@@ -128,9 +112,8 @@ func computeSummaries(g *CallGraph) map[string]*FuncSummary {
 // current summaries, reporting whether any bit changed.
 // bits snapshots the comparable part of a summary (everything but the maps,
 // which are tracked by size — entries are only ever added).
-func (s *FuncSummary) bits() [12]bool {
-	return [12]bool{s.AcceptsCtx, s.ForwardsCtx, s.UsesFreshCtx, s.Spawns,
-		s.MayBlockForever, s.NoReturn, s.ReturnsOpen, s.AcquiresLock, s.ReleasesLock,
+func (s *FuncSummary) bits() [7]bool {
+	return [7]bool{s.Spawns, s.MayBlockForever, s.NoReturn, s.ReturnsOpen,
 		s.Allocates, s.PerformsIO, s.Bounded}
 }
 
@@ -138,18 +121,10 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 	s := sums[n.ID]
 	old := s.bits()
 	oldCloses := len(s.Closes)
-	oldAcquires := len(s.Acquires)
 	oldHeld := len(s.HeldAtExit)
 	info := n.Pkg.Info
 
 	params, recvObj := paramObjects(info, n)
-	if n.Type != nil && n.Type.Params != nil {
-		for _, f := range n.Type.Params.List {
-			if isCtxExpr(info, f.Type) {
-				s.AcceptsCtx = true
-			}
-		}
-	}
 
 	released := map[string]bool{}
 	if n.Body != nil {
@@ -159,7 +134,6 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 		var acquired map[string]bool
 		acquired, released = scanLockClasses(n, info)
 		for c := range acquired {
-			s.Acquires[c] = true
 			if !released[c] {
 				s.HeldAtExit[c] = true
 			}
@@ -193,9 +167,6 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 		if cs.MayBlockForever && !e.Go {
 			s.MayBlockForever = true
 		}
-		if cs.UsesFreshCtx && !cs.AcceptsCtx {
-			s.UsesFreshCtx = true
-		}
 		// Filesystem effects propagate across go edges too: the disk does
 		// not care which goroutine issued the write.
 		if cs.PerformsIO {
@@ -206,9 +177,6 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 		if !e.Go {
 			if cs.Allocates {
 				s.Allocates = true
-			}
-			for c := range cs.Acquires {
-				s.Acquires[c] = true
 			}
 			for c := range cs.HeldAtExit {
 				if !released[c] {
@@ -221,8 +189,48 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 		s.NoReturn = true
 	}
 
-	return s.bits() != old || len(s.Closes) != oldCloses ||
-		len(s.Acquires) != oldAcquires || len(s.HeldAtExit) != oldHeld
+	return s.bits() != old || len(s.Closes) != oldCloses || len(s.HeldAtExit) != oldHeld
+}
+
+// lockClassOf resolves the program-wide identity class of a mutex
+// expression: "pkg.Type.field" when the mutex is a named struct's field
+// (the receiver type is resolved through pointers, so c.mu and sh.mu on
+// different variables of one type share a class), "pkg.var" for a
+// package-level var, and "" for locals, captures, and anything else the
+// type information cannot pin down.
+func lockClassOf(info *types.Info, e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+			recv := sel.Recv()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			if named, ok := recv.(*types.Named); ok {
+				obj := named.Obj()
+				pkg := ""
+				if obj.Pkg() != nil {
+					pkg = obj.Pkg().Name()
+				}
+				return pkg + "." + obj.Name() + "." + x.Sel.Name
+			}
+			return ""
+		}
+		// Package-qualified package-level var: pkg.Mu.
+		if id, ok := x.X.(*ast.Ident); ok {
+			if _, ok := info.Uses[id].(*types.PkgName); ok {
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+					return v.Pkg().Name() + "." + v.Name()
+				}
+			}
+		}
+		return ""
+	case *ast.Ident:
+		if v, ok := info.ObjectOf(x).(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return v.Pkg().Name() + "." + v.Name()
+		}
+	}
+	return ""
 }
 
 // scanLockClasses resolves the lock classes the body itself acquires and
@@ -277,8 +285,8 @@ func paramObjects(info *types.Info, n *FuncNode) ([]types.Object, types.Object) 
 	return params, recvObj
 }
 
-// scanOwnBody computes the purely local bits: spawning, fresh contexts,
-// context forwarding, lock traffic, unbounded loops, and no-return endings.
+// scanOwnBody computes the purely local bits: spawning, unbounded loops, and
+// no-return endings.
 func scanOwnBody(n *FuncNode, s *FuncSummary, info *types.Info, sums map[string]*FuncSummary) {
 	inspectShallow(n.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
@@ -286,23 +294,6 @@ func scanOwnBody(n *FuncNode, s *FuncSummary, info *types.Info, sums map[string]
 			s.Spawns = true
 			if !n.annotated("bounded") {
 				s.Bounded = false
-			}
-		case *ast.CallExpr:
-			if isFreshCtxCall(info, x) {
-				s.UsesFreshCtx = true
-			}
-			for _, arg := range x.Args {
-				if isCtxExpr(info, arg) {
-					s.ForwardsCtx = true
-				}
-			}
-			if name, onMutex := mutexMethod(info, x); onMutex {
-				switch name {
-				case "Lock", "RLock":
-					s.AcquiresLock = true
-				case "Unlock", "RUnlock":
-					s.ReleasesLock = true
-				}
 			}
 		case *ast.ForStmt:
 			if x.Cond == nil && !loopExits(info, x, sums) {
@@ -506,21 +497,6 @@ func lastStmt(body *ast.BlockStmt) ast.Stmt {
 		return nil
 	}
 	return body.List[len(body.List)-1]
-}
-
-// isCtxExpr reports whether e's static type is context.Context.
-func isCtxExpr(info *types.Info, e ast.Expr) bool {
-	t := info.TypeOf(e)
-	return t != nil && t.String() == "context.Context"
-}
-
-// isFreshCtxCall reports a call to context.Background or context.TODO.
-func isFreshCtxCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") {
-		return false
-	}
-	return isPkgIdent(info, sel.X, "context")
 }
 
 // isPkgIdent reports whether e is an identifier naming the import of pkgPath.

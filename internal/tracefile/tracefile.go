@@ -9,7 +9,9 @@
 //
 // Lines that are empty or start with '#' are skipped. The three-field form
 // lets aggregated replays (many identical arrivals in one interval) stay
-// compact.
+// compact. Each line is read with surrounding white space trimmed, so the
+// SQL keeps its leading but not its trailing white space, and SQL that is
+// blank once trimmed cannot be represented.
 package tracefile
 
 import (
@@ -62,7 +64,9 @@ func (tw *Writer) Flush() error {
 }
 
 // Read parses a trace stream, invoking fn per entry. It stops at the first
-// malformed line, reporting its line number.
+// malformed line — or the first the scanner cannot deliver: one over 1 MiB
+// (bufio.ErrTooLong) or cut short by a read error — reporting its line
+// number.
 func Read(r io.Reader, fn func(Entry) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -81,7 +85,10 @@ func Read(r io.Reader, fn func(Entry) error) error {
 			return err
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("tracefile: line %d: %w", line+1, err)
+	}
+	return nil
 }
 
 func parseLine(text string) (Entry, error) {

@@ -1,7 +1,9 @@
 package tracefile
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -73,18 +75,30 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	bad := []string{
-		"no tab here\n",
-		"not-a-time\tSELECT 1\n",
-		"2018-01-02T15:04:05Z\t-3\tSELECT 1\n",
+	// A line over the scanner's 1 MiB limit, after two lines that read fine.
+	tooLong := "2018-01-02T15:04:05Z\tSELECT 1\n# comment\n2018-01-02T15:04:05Z\tSELECT '" + strings.Repeat("x", 1<<20) + "'\n"
+	bad := []struct {
+		in   string
+		line string
+		is   error // the cause errors.Is must still find, if any
+	}{
+		{"no tab here\n", "line 1", nil},
+		{"not-a-time\tSELECT 1\n", "line 1", nil},
+		{"2018-01-02T15:04:05Z\t-3\tSELECT 1\n", "line 1", nil},
+		{tooLong, "line 3", bufio.ErrTooLong},
 	}
-	for _, in := range bad {
-		err := Read(strings.NewReader(in), func(Entry) error { return nil })
+	for _, tc := range bad {
+		in := tc.in[:min(len(tc.in), 40)]
+		err := Read(strings.NewReader(tc.in), func(Entry) error { return nil })
 		if err == nil {
 			t.Errorf("%q: expected error", in)
+			continue
 		}
-		if err != nil && !strings.Contains(err.Error(), "line 1") {
-			t.Errorf("%q: error lacks line number: %v", in, err)
+		if !strings.Contains(err.Error(), "tracefile: "+tc.line+":") {
+			t.Errorf("%q: error lacks %q: %v", in, tc.line, err)
+		}
+		if tc.is != nil && !errors.Is(err, tc.is) {
+			t.Errorf("%q: errors.Is(err, %v) = false: %v", in, tc.is, err)
 		}
 	}
 }
