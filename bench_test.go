@@ -433,6 +433,27 @@ func BenchmarkForecast(b *testing.B) {
 	}
 }
 
+// BenchmarkRefresh measures one maintenance pass (sweep, clone, re-cluster,
+// LR retrain) over the same 1,000-member catalog: the maintain-side
+// counterpart of BenchmarkForecast, equally without a threshold.
+func BenchmarkRefresh(b *testing.B) {
+	if testing.Short() {
+		b.Skip("primes 1,000 templates × 8 days and runs a maintenance pass per iteration")
+	}
+	ctl, err := forecastBenchState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := ctl.LastSeen().Add(time.Hour)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ctl.Refresh(context.Background(), now); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func newBenchClusterer(parallelism int) *cluster.Clusterer {
 	return cluster.New(cluster.Options{Rho: 0.8, Seed: 2, Parallelism: parallelism})
 }

@@ -65,16 +65,6 @@ type Options struct {
 	Parallelism int
 }
 
-// DefaultOptions mirror the paper's operating point.
-func DefaultOptions() Options {
-	return Options{
-		Rho:           0.8,
-		FeatureSize:   2048,
-		FeatureWindow: timeseries.DefaultFineWindow,
-		Seed:          1,
-	}
-}
-
 // Cluster is a group of templates with similar arrival behaviour.
 type Cluster struct {
 	ID      int64
@@ -196,7 +186,7 @@ func (c *Clusterer) Update(ctx context.Context, now time.Time, templates []*prep
 
 	// Re-point surviving members at this round's template objects: callers
 	// pass freshly cloned catalog snapshots, so keeping last round's
-	// pointers would freeze Volume/CenterSeries at stale histories.
+	// pointers would freeze Clusters/CenterSeries at stale histories.
 	for id, cid := range c.assignment {
 		if t, ok := live[id]; ok {
 			c.clusters[cid].Members[id] = t
@@ -532,9 +522,6 @@ func (c *Clusterer) mergeClusters(ctx context.Context) (int, error) {
 	}
 }
 
-// Parallelism reports the clusterer's configured worker bound.
-func (c *Clusterer) Parallelism() int { return c.opts.Parallelism }
-
 // qb5000:locked mu
 func (c *Clusterer) clusterIDs() []int64 {
 	ids := make([]int64, 0, len(c.clusters))
@@ -568,54 +555,79 @@ func (c *Clusterer) Cluster(id int64) (*Cluster, bool) {
 	return cl, ok
 }
 
+// Ranked is a cluster together with the volume Clusters ranked it by.
+type Ranked struct {
+	*Cluster
+	Volume float64
+}
+
 // Clusters returns all clusters sorted by descending volume over the window
 // [now-window, now), then by ID for determinism.
-func (c *Clusterer) Clusters(now time.Time, window time.Duration) []*Cluster {
+func (c *Clusterer) Clusters(now time.Time, window time.Duration) []Ranked {
 	c.mu.RLock()
-	out := make([]*Cluster, 0, len(c.clusters))
+	out := make([]Ranked, 0, len(c.clusters))
 	for _, cl := range c.clusters {
-		out = append(out, cl)
+		out = append(out, Ranked{Cluster: cl})
 	}
 	c.mu.RUnlock()
-	vol := make(map[int64]float64, len(out))
-	for _, cl := range out {
-		vol[cl.ID] = c.Volume(cl, now, window)
+	for i := range out {
+		out[i].Volume = volume(out[i].Cluster, now, window)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		//lint:ignore floateq exact compare keeps the order a strict weak ordering; an epsilon would break transitivity
-		if vol[out[i].ID] != vol[out[j].ID] {
-			return vol[out[i].ID] > vol[out[j].ID]
+		if out[i].Volume != out[j].Volume {
+			return out[i].Volume > out[j].Volume
 		}
 		return out[i].ID < out[j].ID
 	})
 	return out
 }
 
-// Volume returns the total query volume of the cluster's members over
-// [now-window, now). Members are summed in sorted ID order so the float
-// total is bit-identical across runs.
-func (c *Clusterer) Volume(cl *Cluster, now time.Time, window time.Duration) float64 {
-	var total float64
+// volume returns the total query volume of the cluster's members over
+// [now-window, now), a whole number of minutes. Members are summed in sorted
+// ID order so the float total is bit-identical across runs.
+func volume(cl *Cluster, now time.Time, window time.Duration) float64 {
+	var total [1]float64
 	from := now.Add(-window)
 	for _, id := range cl.MemberIDs() {
-		t := cl.Members[id]
-		for cur := from; cur.Before(now); cur = cur.Add(time.Minute) {
-			total += t.History.At(cur)
+		cl.Members[id].History.Window(total[:], from, window)
+	}
+	return total[0]
+}
+
+// Top returns the highest-volume clusters over [now-window, now), largest
+// first: the smallest leading set covering the `cover` fraction of the
+// window's total volume, capped at maxK. It is the cut that decides which
+// clusters get a model (§5.3, §7.2).
+func (c *Clusterer) Top(now time.Time, window time.Duration, cover float64, maxK int) []*Cluster {
+	ranked := c.Clusters(now, window)
+	var total float64
+	for _, r := range ranked {
+		total += r.Volume
+	}
+	var out []*Cluster
+	var covered float64
+	for _, r := range ranked {
+		if len(out) >= maxK {
+			break
+		}
+		out = append(out, r.Cluster)
+		covered += r.Volume
+		if total > 0 && covered/total >= cover {
+			break
 		}
 	}
-	return total
+	return out
 }
 
 // Coverage returns the fraction of total workload volume over the window
 // covered by the k highest-volume clusters (Figure 5).
 func (c *Clusterer) Coverage(k int, now time.Time, window time.Duration) float64 {
-	clusters := c.Clusters(now, window)
 	var top, total float64
-	for i, cl := range clusters {
-		v := c.Volume(cl, now, window)
-		total += v
+	for i, r := range c.Clusters(now, window) {
+		total += r.Volume
 		if i < k {
-			top += v
+			top += r.Volume
 		}
 	}
 	if total == 0 {
@@ -625,8 +637,8 @@ func (c *Clusterer) Coverage(k int, now time.Time, window time.Duration) float64
 }
 
 // CenterSeries returns the average arrival-rate series of the cluster's
-// members over [from, to) at the given interval — the signal the forecaster
-// trains on (§5.1, Figure 3).
+// members over [from, to) at the given interval, a whole number of minutes —
+// the signal the forecaster trains on (§5.1, Figure 3).
 func CenterSeries(cl *Cluster, from, to time.Time, interval time.Duration) *timeseries.Series {
 	out := timeseries.NewSeries(from, interval)
 	n := int(to.Sub(out.Start) / interval)
@@ -637,31 +649,29 @@ func CenterSeries(cl *Cluster, from, to time.Time, interval time.Duration) *time
 	if len(cl.Members) == 0 || n == 0 {
 		return out
 	}
-	minutes := int(interval / time.Minute)
-	if minutes < 1 {
-		minutes = 1
-	}
 	// Sorted member order keeps the per-bin float sums bit-identical.
 	for _, id := range cl.MemberIDs() {
-		t := cl.Members[id]
-		for i := 0; i < n; i++ {
-			binStart := out.TimeOf(i)
-			var sum float64
-			for m := 0; m < minutes; m++ {
-				sum += t.History.At(binStart.Add(time.Duration(m) * time.Minute))
-			}
-			out.Data[i] += sum
-		}
+		cl.Members[id].History.Window(out.Data, out.Start, interval)
 	}
 	out.Scale(1 / float64(len(cl.Members)))
 	return out
 }
 
-// TotalSeries is like CenterSeries but sums members instead of averaging,
-// giving the cluster's total arrival volume (used when replaying predicted
-// workloads against the engine).
-func TotalSeries(cl *Cluster, from, to time.Time, interval time.Duration) *timeseries.Series {
-	out := CenterSeries(cl, from, to, interval)
-	out.Scale(float64(len(cl.Members)))
-	return out
+// LogCenterMatrix builds the matrix every model trains on and predicts
+// from: one row per interval of [from, to), one column per cluster, each
+// value log1p of the cluster's CenterSeries.
+func LogCenterMatrix(cls []*Cluster, from, to time.Time, interval time.Duration) *mat.Matrix {
+	rows := int(to.Sub(from) / interval)
+	if rows < 0 {
+		rows = 0
+	}
+	m := mat.New(rows, len(cls))
+	for j, cl := range cls {
+		// CenterSeries starts at from truncated to the interval, so it never
+		// has fewer than rows bins.
+		for i, v := range CenterSeries(cl, from, to, interval).Data[:rows] {
+			m.Set(i, j, timeseries.Log1pClamped(v))
+		}
+	}
+	return m
 }

@@ -96,13 +96,11 @@ func TestShortFeatureWindowForgetsOldBehaviour(t *testing.T) {
 	}
 }
 
-func TestDefaultOptions(t *testing.T) {
-	opts := DefaultOptions()
-	if opts.Rho != 0.8 || opts.FeatureSize == 0 || opts.FeatureWindow == 0 {
-		t.Fatalf("DefaultOptions = %+v", opts)
+func TestNewAppliesDefaults(t *testing.T) {
+	clu := New(Options{})
+	if opts := clu.opts; opts.Rho != 0.8 || opts.FeatureSize == 0 || opts.FeatureWindow == 0 {
+		t.Fatalf("defaulted options = %+v", opts)
 	}
-	// A clusterer built from defaults works.
-	clu := New(opts)
 	if clu.Len() != 0 {
 		t.Fatal("fresh clusterer not empty")
 	}

@@ -164,6 +164,31 @@ func TestVolumeAndCoverage(t *testing.T) {
 	if math.Abs(covAll-1) > 1e-9 {
 		t.Fatalf("coverage(all) = %v, want 1", covAll)
 	}
+
+	// The volume a cluster is ranked by is the minute-by-minute sum of its
+	// members' histories over the window.
+	for _, r := range clusters {
+		var want float64
+		for _, id := range r.MemberIDs() {
+			for at := now.Add(-24 * time.Hour); at.Before(now); at = at.Add(time.Minute) {
+				want += r.Members[id].History.At(at)
+			}
+		}
+		if r.Volume != want {
+			t.Fatalf("cluster %d ranked by volume %v, minute loop says %v", r.ID, r.Volume, want)
+		}
+	}
+	// Top cuts the same ranking: the dominant cluster alone reaches cov1,
+	// full coverage needs every cluster, and maxK caps the set.
+	if top := clu.Top(now, 24*time.Hour, cov1, len(clusters)); len(top) != 1 || top[0] != clusters[0].Cluster {
+		t.Fatalf("Top(cover=%v) = %d clusters, want the largest alone", cov1, len(top))
+	}
+	if top := clu.Top(now, 24*time.Hour, 1, len(clusters)); len(top) != len(clusters) {
+		t.Fatalf("Top(cover=1) = %d clusters, want %d", len(top), len(clusters))
+	}
+	if top := clu.Top(now, 24*time.Hour, 1, 1); len(top) != 1 {
+		t.Fatalf("Top(maxK=1) = %d clusters", len(top))
+	}
 }
 
 func TestCenterSeriesAveragesMembers(t *testing.T) {
@@ -177,9 +202,9 @@ func TestCenterSeriesAveragesMembers(t *testing.T) {
 	if got := s.Data[0]; got != 18 {
 		t.Fatalf("center = %v, want 18", got)
 	}
-	tot := TotalSeries(cl, base, base.Add(time.Hour), time.Hour)
-	if got := tot.Data[0]; got != 36 {
-		t.Fatalf("total = %v, want 36", got)
+	m := LogCenterMatrix([]*Cluster{cl}, base, base.Add(time.Hour), time.Hour)
+	if m.Rows != 1 || m.Cols != 1 || m.At(0, 0) != math.Log1p(18) {
+		t.Fatalf("log-centre matrix = %dx%d %v, want 1x1 [log1p(18)]", m.Rows, m.Cols, m.Data)
 	}
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"slices"
 	"testing"
 	"time"
 
+	"qb5000/internal/cluster"
 	"qb5000/internal/preprocess"
 	"qb5000/internal/workload"
 )
@@ -281,5 +284,90 @@ func TestHybridModelThroughController(t *testing.T) {
 	}
 	if _, err := ctl.Forecast(time.Hour); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntervalRoundsUpToWholeMinute: arrivals are recorded per minute, so an
+// interval between two minutes is read as the next whole one — a 90 s
+// interval used to read 60 s of every 90 s bin and drop a third of the
+// arrivals.
+func TestIntervalRoundsUpToWholeMinute(t *testing.T) {
+	forecastAt := func(interval time.Duration) []ClusterForecast {
+		ctl := New(Config{Model: "LR", Interval: interval, Lag: time.Hour, Horizons: []time.Duration{10 * time.Minute}, Seed: 1})
+		to := replayDays(t, ctl, workload.BusTracker(3), 2)
+		if err := ctl.Refresh(context.Background(), to); err != nil {
+			t.Fatal(err)
+		}
+		fc, err := ctl.Forecast(10 * time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fc
+	}
+	got, want := forecastAt(90*time.Second), forecastAt(2*time.Minute)
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("90 s config forecasts %d clusters, 2 min config %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].PerTemplateRate != want[i].PerTemplateRate || got[i].TotalRate != want[i].TotalRate {
+			t.Fatalf("cluster %d: 90 s config forecasts %v (total %v), 2 min config %v (total %v)",
+				i, got[i].PerTemplateRate, got[i].TotalRate, want[i].PerTemplateRate, want[i].TotalRate)
+		}
+	}
+}
+
+// TestRestoreKeepsClock: a restored controller reads its clock bounds off
+// the catalog's templates, so Load hands back the LastSeen that Save saw.
+func TestRestoreKeepsClock(t *testing.T) {
+	ctl := New(Config{Model: "LR", Seed: 1, Shards: 4})
+	replayDays(t, ctl, workload.BusTracker(3), 1)
+	var snap bytes.Buffer
+	if err := ctl.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	back, err := RestoreController(Config{Model: "LR", Seed: 1, Shards: 2}, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.LastSeen().Equal(ctl.LastSeen()) || back.LastSeen().IsZero() {
+		t.Fatalf("LastSeen after Load = %v, before Save = %v", back.LastSeen(), ctl.LastSeen())
+	}
+	if !back.firstSeen().Equal(ctl.firstSeen()) {
+		t.Fatalf("firstSeen after Load = %v, before Save = %v", back.firstSeen(), ctl.firstSeen())
+	}
+}
+
+// TestSpikeMatrixAlignsMembersToTheHour: every member of a cluster is read
+// over the same clock hours, wherever in an hour its own history starts. (The
+// hourly view used to be assembled per member from sixty-minute groups
+// counted from that member's first minute, so a template first seen at
+// 00:40 had its 01:00–01:39 arrivals booked to hour 0.)
+func TestSpikeMatrixAlignsMembersToTheHour(t *testing.T) {
+	start := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	pre := preprocess.New(preprocess.Options{Seed: 1, Shards: 1})
+	ingest := func(sql string, at time.Time, n int64) {
+		t.Helper()
+		if _, err := pre.ProcessBatch(sql, at, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest("SELECT a FROM t WHERE x = 1", start, 6)
+	ingest("SELECT a FROM t WHERE x = 1", start.Add(70*time.Minute), 2)
+	ingest("SELECT b FROM u WHERE y = 1", start.Add(40*time.Minute), 4)
+	ingest("SELECT b FROM u WHERE y = 1", start.Add(65*time.Minute), 10)
+	members := map[int64]*preprocess.Template{}
+	for _, tm := range pre.Templates() {
+		members[tm.ID] = tm
+	}
+	m := spikeMatrix(start.Add(2*time.Hour+5*time.Minute), []*cluster.Cluster{{ID: 1, Members: members}})
+	if m.Rows != 2 || m.Cols != 1 {
+		t.Fatalf("spike matrix is %dx%d, want 2x1", m.Rows, m.Cols)
+	}
+	// Hour 0 holds 6 and 4 arrivals, hour 1 holds 2 and 10; the centre
+	// averages the two members.
+	for i, want := range []float64{math.Log1p(5), math.Log1p(6)} {
+		if got := m.At(i, 0); got != want {
+			t.Errorf("hour %d = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -102,6 +102,11 @@ func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = time.Hour
 	}
+	// Arrivals are recorded per minute (§6.2), so that is the finest step a
+	// history can be read at: a 90 s interval means two minutes.
+	if rem := c.Interval % time.Minute; rem != 0 {
+		c.Interval += time.Minute - rem
+	}
 	if len(c.Horizons) == 0 {
 		c.Horizons = []time.Duration{time.Hour}
 	}
@@ -391,7 +396,8 @@ func (c *Controller) retrain(ctx context.Context, now time.Time) error {
 		c.cur.Store(next)
 		return nil
 	}
-	hist := c.historyMatrix(now, next.tracked)
+	from, to := c.trainSpan(now)
+	hist := cluster.LogCenterMatrix(next.tracked, from, to, c.cfg.Interval)
 	if hist.Rows < 4 {
 		// Not enough history yet; publish the new tracked set with the
 		// previous models.
@@ -408,7 +414,7 @@ func (c *Controller) retrain(ctx context.Context, now time.Time) error {
 	// build it once instead of per horizon.
 	var spikeHist *mat.Matrix
 	if c.cfg.Model == "HYBRID" {
-		spikeHist = fullHourlyMatrix(now, next.tracked)
+		spikeHist = spikeMatrix(now, next.tracked)
 	}
 	fitted := make([]forecast.Model, len(c.cfg.Horizons))
 	err := parallel.ForEach(ctx, c.cfg.Parallelism, len(c.cfg.Horizons), func(_ context.Context, i int) error {
@@ -488,69 +494,34 @@ func (c *Controller) lagIntervals() int {
 //
 // qb5000:locked maintainMu
 func (c *Controller) selectTracked(now time.Time) []*cluster.Cluster {
-	window := 24 * time.Hour
-	clusters := c.clu.Clusters(now, window)
-	var total float64
-	vols := make([]float64, len(clusters))
-	for i, cl := range clusters {
-		vols[i] = c.clu.Volume(cl, now, window)
-		total += vols[i]
-	}
-	var tracked []*cluster.Cluster
-	var covered float64
-	for i, cl := range clusters {
-		if len(tracked) >= c.cfg.MaxClusters {
-			break
-		}
-		tracked = append(tracked, cl.Snapshot())
-		covered += vols[i]
-		if total > 0 && covered/total >= c.cfg.CoverageTarget {
-			break
-		}
+	tracked := c.clu.Top(now, 24*time.Hour, c.cfg.CoverageTarget, c.cfg.MaxClusters)
+	for i, cl := range tracked {
+		tracked[i] = cl.Snapshot()
 	}
 	return tracked
 }
 
-// historyMatrix builds the training matrix: rows are intervals over the
-// training window, columns are tracked clusters, values are log1p of the
-// cluster-center (per-template average) arrival rate per interval.
-func (c *Controller) historyMatrix(now time.Time, tracked []*cluster.Cluster) *mat.Matrix {
-	from := now.Add(-c.cfg.TrainWindow).Truncate(c.cfg.Interval)
+// trainSpan is the span the training matrix covers: whole intervals of the
+// training window ending at now.
+func (c *Controller) trainSpan(now time.Time) (from, to time.Time) {
+	from = now.Add(-c.cfg.TrainWindow).Truncate(c.cfg.Interval)
 	// Never train on fabricated zeros from before the first observation.
 	if first := c.firstSeen(); !first.IsZero() {
 		if fs := first.Truncate(c.cfg.Interval); fs.After(from) {
 			from = fs
 		}
 	}
-	to := now.Truncate(c.cfg.Interval)
-	rows := int(to.Sub(from) / c.cfg.Interval)
-	if rows < 0 {
-		rows = 0
-	}
-	m := mat.New(rows, len(tracked))
-	for j, cl := range tracked {
-		s := cluster.CenterSeries(cl, from, to, c.cfg.Interval)
-		for i := 0; i < rows && i < s.Len(); i++ {
-			m.Set(i, j, timeseries.Log1pClamped(s.Data[i]))
-		}
-	}
-	return m
+	return from, now.Truncate(c.cfg.Interval)
 }
 
-// fullHourlyMatrix builds the entire-history hourly matrix the HYBRID spike
-// model trains on (§6.2).
-func fullHourlyMatrix(now time.Time, tracked []*cluster.Cluster) *mat.Matrix {
-	if len(tracked) == 0 {
-		return mat.New(0, 0)
-	}
+// spikeMatrix builds the entire-history hourly matrix the HYBRID spike
+// model trains on (§6.2): every whole hour from the earliest tracked
+// member's first up to now.
+func spikeMatrix(now time.Time, tracked []*cluster.Cluster) *mat.Matrix {
 	var from time.Time
 	for _, cl := range tracked {
 		for _, t := range cl.Members {
-			start := t.History.Coarse().Start
-			if t.History.Coarse().Len() == 0 {
-				start = t.History.Fine().Start
-			}
-			if from.IsZero() || start.Before(from) {
+			if start := t.History.Start(); from.IsZero() || start.Before(from) {
 				from = start
 			}
 		}
@@ -558,28 +529,7 @@ func fullHourlyMatrix(now time.Time, tracked []*cluster.Cluster) *mat.Matrix {
 	if from.IsZero() {
 		return mat.New(0, len(tracked))
 	}
-	to := now.Truncate(time.Hour)
-	rows := int(to.Sub(from) / time.Hour)
-	if rows < 0 {
-		rows = 0
-	}
-	m := mat.New(rows, len(tracked))
-	for j, cl := range tracked {
-		if len(cl.Members) == 0 {
-			continue
-		}
-		for _, t := range cl.Members {
-			full := t.History.FullHourly()
-			for i := 0; i < rows; i++ {
-				m.Set(i, j, m.At(i, j)+full.At(from.Add(time.Duration(i)*time.Hour)))
-			}
-		}
-		inv := 1 / float64(len(cl.Members))
-		for i := 0; i < rows; i++ {
-			m.Set(i, j, timeseries.Log1pClamped(m.At(i, j)*inv))
-		}
-	}
-	return m
+	return cluster.LogCenterMatrix(tracked, from.Truncate(time.Hour), now.Truncate(time.Hour), time.Hour)
 }
 
 // ClusterForecast is the prediction for one tracked cluster.
@@ -613,7 +563,9 @@ func (c *Controller) Forecast(horizon time.Duration) ([]ClusterForecast, error) 
 	}
 	now := c.LastSeen().Truncate(c.cfg.Interval)
 	live := c.liveTracked(ep)
-	recent := recentMatrix(now, live, c.lagIntervals(), c.cfg.Interval)
+	// The model input: the last lag intervals ending at now.
+	lag := time.Duration(c.lagIntervals()) * c.cfg.Interval
+	recent := cluster.LogCenterMatrix(live, now.Add(-lag), now, c.cfg.Interval)
 	pred, err := m.Predict(recent)
 	if err != nil {
 		return nil, err
@@ -659,20 +611,6 @@ func (c *Controller) liveTracked(ep *epoch) []*cluster.Cluster {
 	return out
 }
 
-// recentMatrix assembles the model input: the last lag intervals ending at
-// now.
-func recentMatrix(now time.Time, tracked []*cluster.Cluster, lag int, interval time.Duration) *mat.Matrix {
-	from := now.Add(-time.Duration(lag) * interval)
-	m := mat.New(lag, len(tracked))
-	for j, cl := range tracked {
-		s := cluster.CenterSeries(cl, from, now, interval)
-		for i := 0; i < lag && i < s.Len(); i++ {
-			m.Set(i, j, timeseries.Log1pClamped(s.Data[i]))
-		}
-	}
-	return m
-}
-
 // Snapshot persists the controller's durable state (the template catalog
 // with arrival histories) framed in the torn-write-detecting envelope (see
 // envelope.go). Clusters and models are derived state and are rebuilt by
@@ -701,10 +639,9 @@ func RestoreController(cfg Config, r io.Reader) (*Controller, error) {
 		return nil, err
 	}
 	c.pre = pre
-	for _, t := range pre.Templates() {
-		c.noteSeen(t.FirstSeen)
-		c.noteSeen(t.LastSeen)
-	}
+	first, last := pre.SeenBounds()
+	c.noteSeen(first)
+	c.noteSeen(last)
 	return c, nil
 }
 

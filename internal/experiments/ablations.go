@@ -30,8 +30,8 @@ func ablEnsemble(opt Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		top := ct.topClusters(1.0, 3)
-		hist := logMatrix(top, from, to, time.Hour)
+		top := ct.clu.Top(ct.to, 24*time.Hour, 1.0, 3)
+		hist := cluster.LogCenterMatrix(top, from, to, time.Hour)
 		trainRows := hist.Rows * 2 / 3
 		lag, horizon := 24, 24
 
@@ -218,7 +218,7 @@ func ablInterval(opt Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	top := ct.topClusters(0.95, 5)
+	top := ct.clu.Top(ct.to, 24*time.Hour, 0.95, 5)
 
 	candidates := []time.Duration{20 * time.Minute, time.Hour, 2 * time.Hour}
 	type scored struct {
@@ -230,7 +230,7 @@ func ablInterval(opt Options, w io.Writer) error {
 	var results []scored
 	const lambda = 0.05 // seconds of training time traded per MSE point
 	for _, iv := range candidates {
-		hist := logMatrix(top, from, to, iv)
+		hist := cluster.LogCenterMatrix(top, from, to, iv)
 		lag := int(24 * time.Hour / iv)
 		trainRows := hist.Rows * 3 / 4
 		cfg := forecast.Config{Lag: lag, Horizon: 1, Outputs: hist.Cols, Seed: opt.seed()}

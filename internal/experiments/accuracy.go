@@ -62,14 +62,14 @@ func fig7(opt Options, w io.Writer) error {
 		// Model the clusters covering 95% of the volume, but at least three
 		// so the joint multi-cluster prediction is exercised (the paper
 		// models 3 clusters for Admissions/BusTracker and 5 for MOOC).
-		top := ct.topClusters(0.95, 5)
+		top := ct.clu.Top(ct.to, 24*time.Hour, 0.95, 5)
 		if len(top) < 3 {
-			top = ct.topClusters(1.0, 3)
+			top = ct.clu.Top(ct.to, 24*time.Hour, 1.0, 3)
 		}
 		if len(top) == 0 {
 			return fmt.Errorf("%s: no clusters", wl.Name)
 		}
-		hist := logMatrix(top, from, to, time.Hour)
+		hist := cluster.LogCenterMatrix(top, from, to, time.Hour)
 		trainRows := 21 * 24
 		if trainRows > hist.Rows*2/3 {
 			trainRows = hist.Rows * 2 / 3
@@ -209,8 +209,8 @@ func fig8(opt Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	top := ct.topClusters(1.0, 1)
-	hist := logMatrix(top, from, to, time.Hour)
+	top := ct.clu.Top(ct.to, 24*time.Hour, 1.0, 1)
+	hist := cluster.LogCenterMatrix(top, from, to, time.Hour)
 	trainRows := 21 * 24
 	if trainRows > hist.Rows*2/3 {
 		trainRows = hist.Rows * 2 / 3
@@ -267,11 +267,11 @@ func fig10(opt Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	top := ct.topClusters(0.95, 5)
+	top := ct.clu.Top(ct.to, 24*time.Hour, 0.95, 5)
 
 	fmt.Fprintf(w, "%-10s %-10s %12s %14s\n", "interval", "horizon", "MSE(log,1h)", "train time")
 	for _, iv := range intervals {
-		hist := logMatrix(top, from, to, iv)
+		hist := cluster.LogCenterMatrix(top, from, to, iv)
 		perHour := int(time.Hour / iv)
 		if perHour < 1 {
 			perHour = 1
@@ -410,9 +410,8 @@ func fig14(opt Options, w io.Writer) error {
 			if _, err := clu.Update(context.Background(), to, pre.Templates()); err != nil {
 				return err
 			}
-			ct := &clusteredTrace{w: wl, pre: pre, clu: clu, from: from, to: to}
-			top := ct.topClusters(1.0, 3)
-			hist := logMatrix(top, from, to, time.Hour)
+			top := clu.Top(to, 24*time.Hour, 1.0, 3)
+			hist := cluster.LogCenterMatrix(top, from, to, time.Hour)
 			trainRows := hist.Rows * 2 / 3
 			cfg := forecast.Config{Lag: 24, Horizon: 1, Outputs: hist.Cols, Seed: opt.seed()}
 			lr, err := forecast.NewLR(cfg, 0)

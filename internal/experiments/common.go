@@ -74,49 +74,6 @@ func buildClusters(w *workload.Workload, from, to time.Time, step time.Duration,
 	return &clusteredTrace{w: w, pre: pre, clu: clu, from: from, to: to}, nil
 }
 
-// topClusters returns the clusters covering `cover` of the final day's
-// volume, capped at maxK, largest first.
-func (ct *clusteredTrace) topClusters(cover float64, maxK int) []*cluster.Cluster {
-	window := 24 * time.Hour
-	all := ct.clu.Clusters(ct.to, window)
-	var total float64
-	vols := make([]float64, len(all))
-	for i, cl := range all {
-		vols[i] = ct.clu.Volume(cl, ct.to, window)
-		total += vols[i]
-	}
-	var out []*cluster.Cluster
-	var covered float64
-	for i, cl := range all {
-		if len(out) >= maxK {
-			break
-		}
-		out = append(out, cl)
-		covered += vols[i]
-		if total > 0 && covered/total >= cover {
-			break
-		}
-	}
-	return out
-}
-
-// logMatrix builds the (rows × clusters) matrix of log1p cluster-center
-// arrival rates at the given interval over [from, to).
-func logMatrix(cls []*cluster.Cluster, from, to time.Time, interval time.Duration) *mat.Matrix {
-	rows := int(to.Sub(from) / interval)
-	if rows < 0 {
-		rows = 0
-	}
-	m := mat.New(rows, len(cls))
-	for j, cl := range cls {
-		s := cluster.CenterSeries(cl, from, to, interval)
-		for i := 0; i < rows && i < s.Len(); i++ {
-			m.Set(i, j, timeseries.Log1pClamped(s.Data[i]))
-		}
-	}
-	return m
-}
-
 // subMatrix copies rows [from, to) of m.
 func subMatrix(m *mat.Matrix, from, to int) *mat.Matrix {
 	if from < 0 {

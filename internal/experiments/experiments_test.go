@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,9 +36,19 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// goldenReports are the quick-mode reports with no wall-clock figure in them:
+// the same trace, clustering and model seeds give the same bytes on every
+// machine. Their goldens under testdata/ were written by the commit before
+// the histories' window read replaced the per-minute loops, so a difference
+// is a change in what the pipeline computes, not a new baseline to accept.
+var goldenReports = map[string]bool{
+	"table2": true, "fig3": true, "fig5": true, "fig6": true, "fig13": true, "fig14": true,
+}
+
 // TestFastExperimentsProduceOutput runs the cheap experiments end-to-end in
-// quick mode and sanity-checks their reports. The expensive ones (fig7,
-// fig9–fig12, fig15, fig16) are exercised by the benchmark harness.
+// quick mode, sanity-checks their reports and compares the deterministic
+// ones with their goldens. The expensive ones (fig7, fig9–fig12, fig15,
+// fig16) are exercised by the benchmark harness.
 func TestFastExperimentsProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still replay days of trace")
@@ -65,6 +77,16 @@ func TestFastExperimentsProduceOutput(t *testing.T) {
 			if !strings.Contains(out, sub) {
 				t.Errorf("%s output missing %q:\n%s", id, sub, out)
 			}
+		}
+		if !goldenReports[id] {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("%s report differs from testdata/%s.golden:\n--- got\n%s--- want\n%s", id, id, out, want)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func fig3(opt Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	top := ct.topClusters(1.0, 1)
+	top := ct.clu.Top(ct.to, 24*time.Hour, 1.0, 1)
 	if len(top) == 0 {
 		return fmt.Errorf("no clusters formed")
 	}

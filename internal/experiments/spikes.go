@@ -58,19 +58,15 @@ func admissionsClusterMatrix(opt Options) (hist *mat.Matrix, start time.Time, er
 	if err != nil {
 		return nil, time.Time{}, err
 	}
-	top := ct.topClusters(0.98, 5)
+	top := ct.clu.Top(ct.to, 24*time.Hour, 0.98, 5)
 	rows := int(to.Sub(from) / time.Hour)
 	hist = mat.New(rows, len(top))
 	for j, cl := range top {
-		// Accumulate member volumes from the pre-aggregated hourly tier
-		// (compacted history + aggregated fine bins).
+		// Accumulate the members' hourly volumes. Sorted member order keeps
+		// the per-bin float sums bit-identical.
 		sum := make([]float64, rows)
-		// Sorted member order keeps the per-bin float sums bit-identical.
 		for _, id := range cl.MemberIDs() {
-			full := cl.Members[id].History.FullHourly()
-			for i := 0; i < rows; i++ {
-				sum[i] += full.At(from.Add(time.Duration(i) * time.Hour))
-			}
+			cl.Members[id].History.Window(sum, from, time.Hour)
 		}
 		for i := 0; i < rows; i++ {
 			hist.Set(i, j, timeseries.Log1pClamped(sum[i]))

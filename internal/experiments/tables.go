@@ -140,9 +140,8 @@ func table4(opt Options, w io.Writer) error {
 	clusterBytes := pre.Len() * 16 // template→cluster assignment + id
 
 	// Models: fit LR / RNN / KR on the top clusters at a one-hour interval.
-	ct := &clusteredTrace{w: wl, pre: pre, clu: clu, from: from, to: to}
-	top := ct.topClusters(0.95, 5)
-	hist := logMatrix(top, from, to, time.Hour)
+	top := clu.Top(to, 24*time.Hour, 0.95, 5)
+	hist := cluster.LogCenterMatrix(top, from, to, time.Hour)
 	cfg := forecast.Config{Lag: 24, Horizon: 1, Outputs: len(top), Seed: opt.seed(), Epochs: rnnEpochs(opt)}
 
 	type row struct {

@@ -429,6 +429,30 @@ func (s *catalogShard) size() int {
 	return len(s.templates)
 }
 
+// SeenBounds returns the earliest FirstSeen and the latest LastSeen over the
+// live templates (zero times for an empty catalog) without cloning any of
+// them: what a restored controller needs to set its clock.
+func (p *Preprocessor) SeenBounds() (first, last time.Time) {
+	for i := range p.shards {
+		first, last = p.shards[i].seenBounds(first, last)
+	}
+	return first, last
+}
+
+func (s *catalogShard) seenBounds(first, last time.Time) (time.Time, time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range s.templates {
+		if first.IsZero() || t.FirstSeen.Before(first) {
+			first = t.FirstSeen
+		}
+		if t.LastSeen.After(last) {
+			last = t.LastSeen
+		}
+	}
+	return first, last
+}
+
 // Stats returns the accumulated workload counters merged across stripes.
 func (p *Preprocessor) Stats() Stats {
 	s := Stats{ByType: make(map[sqlparse.StatementType]int64)}

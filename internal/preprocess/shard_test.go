@@ -149,7 +149,7 @@ func TestTemplateCopiesAreDefensive(t *testing.T) {
 	if byID.Count != 3 {
 		t.Fatalf("catalog Count = %d after mutating a snapshot, want 3", byID.Count)
 	}
-	if got := byID.History.Fine().Total(); got != 3 {
+	if got := historyTotal(byID.History); got != 3 {
 		t.Fatalf("catalog history total = %v after mutating a snapshot, want 3", got)
 	}
 	if byID.Params.Seen() != 1 {
@@ -161,7 +161,7 @@ func TestTemplateCopiesAreDefensive(t *testing.T) {
 		t.Fatalf("CloneByID returned %d templates, want 1", len(cl))
 	}
 	cl[id].History.Record(base, 50)
-	if byID2, _ := p.Template(id); byID2.History.Fine().Total() != 3 {
+	if byID2, _ := p.Template(id); historyTotal(byID2.History) != 3 {
 		t.Fatal("CloneByID leaked a live history")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"qb5000/internal/timeseries"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -56,7 +58,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("template %d timestamps drifted", orig.ID)
 		}
 		// History contents survive.
-		if got.History.Fine().Total() != orig.History.Fine().Total() {
+		if historyTotal(got.History) != historyTotal(orig.History) {
 			t.Fatalf("template %d history lost", orig.ID)
 		}
 		// Reservoir samples survive.
@@ -114,10 +116,19 @@ func TestSnapshotAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm, _ := restored.Template(1)
-	if tm.History.Coarse().Total() != 1 {
-		t.Fatalf("coarse tier lost: %v", tm.History.Coarse().Total())
+	// The old arrival reads as its compacted hour's per-minute average, so
+	// it came back in the coarse tier rather than as a minute bin.
+	if got := tm.History.At(base); got != 1.0/60 {
+		t.Fatalf("compacted arrival reads %v per minute, want 1/60", got)
 	}
-	if tm.History.FullHourly().Total() != 2 {
-		t.Fatalf("full history = %v, want 2", tm.History.FullHourly().Total())
+	if got := historyTotal(tm.History); got != 2 {
+		t.Fatalf("full history = %v, want 2", got)
 	}
+}
+
+// historyTotal sums every arrival of a history up to a year past its start.
+func historyTotal(h *timeseries.History) float64 {
+	var total [1]float64
+	h.Window(total[:], h.Start(), 365*24*time.Hour)
+	return total[0]
 }

@@ -67,11 +67,13 @@ func (h *History) Compact(now time.Time) int {
 	return n
 }
 
-// Fine returns the fine-grained (minute) tier.
-func (h *History) Fine() *Series { return h.fine }
-
-// Coarse returns the aggregated tier.
-func (h *History) Coarse() *Series { return h.coarse }
+// Start returns the earliest instant the history holds a bin for.
+func (h *History) Start() time.Time {
+	if len(h.coarse.Data) > 0 {
+		return h.coarse.Start
+	}
+	return h.fine.Start
+}
 
 // At returns the arrival count for the minute containing t, consulting
 // whichever tier covers it. Counts from the coarse tier are scaled down to a
@@ -80,22 +82,68 @@ func (h *History) At(t time.Time) float64 {
 	if !t.Before(h.fine.Start) {
 		return h.fine.At(t)
 	}
+	if t.Before(h.coarse.Start) {
+		return 0
+	}
 	return h.coarse.At(t) / float64(h.ratio)
 }
 
-// FullHourly reconstructs the template's entire arrival history at one-hour
-// intervals (coarse tier followed by the aggregated fine tier). This is the
-// input the kernel-regression spike model trains on (§6.2).
-func (h *History) FullHourly() *Series {
-	out := h.coarse.Clone()
-	hour := h.fine.Aggregate(60)
-	// The fine tier always starts on a coarse boundary after Compact, and
-	// before any compaction the coarse tier is empty, so AddSeries is safe.
-	if err := out.AddSeries(hour); err != nil {
-		// Intervals are constructed to match; an error here is a bug.
-		panic(err)
+// Window adds to dst[i] the arrivals in [from+i·step, from+(i+1)·step); step
+// must be a whole number of minutes. It is the one bulk read of a history:
+// every cluster volume, centre series and training matrix is a sum of
+// Window calls, so the tiers stay this package's private business.
+//
+// Each bin is summed minute by minute in ascending time into its own
+// accumulator and then added to dst[i] — the order the callers' At loops
+// used, so their floats are unchanged. A compacted hour that a bin covers
+// whole contributes its stored count; one it covers in part contributes the
+// per-minute average At reports, once per covered minute.
+func (h *History) Window(dst []float64, from time.Time, step time.Duration) {
+	if step < Minute || step%Minute != 0 {
+		panic("timeseries: window step is not a whole number of minutes")
 	}
-	return out
+	per := int(step / Minute)
+	// Minute k of the window is the instant from+k·Minute. It reads fine
+	// bin f+k or, before the fine tier, coarse bin (c+k)/ratio.
+	f := floorMinutes(from.Sub(h.fine.Start))
+	c := floorMinutes(from.Sub(h.coarse.Start))
+	fine, coarse := h.fine.Data, h.coarse.Data
+	for i := range dst {
+		var sum float64
+		end := (i + 1) * per
+		for k := max(i*per, -c); k < min(end, -f); {
+			j := (c + k) / h.ratio
+			if j >= len(coarse) {
+				break
+			}
+			// stop is the first minute past hour j's compacted extent.
+			stop := min((j+1)*h.ratio-c, -f)
+			if k == j*h.ratio-c && stop <= end {
+				sum += coarse[j]
+			} else {
+				v := coarse[j] / float64(h.ratio)
+				for n := min(stop, end) - k; n > 0; n-- {
+					sum += v
+				}
+			}
+			k = stop
+		}
+		if lo, hi := max(f+i*per, 0), min(f+end, len(fine)); lo < hi {
+			for _, v := range fine[lo:hi] {
+				sum += v
+			}
+		}
+		dst[i] += sum
+	}
+}
+
+// floorMinutes is d in whole minutes, rounded toward negative infinity.
+func floorMinutes(d time.Duration) int {
+	m := int(d / Minute)
+	if d%Minute < 0 {
+		m--
+	}
+	return m
 }
 
 // Clone deep-copies the history. Clones back the immutable template

@@ -13,6 +13,9 @@ func TestHistoryRecordAndAt(t *testing.T) {
 	if got := h.At(t0.Add(30 * time.Minute)); got != 3 {
 		t.Fatalf("At = %v", got)
 	}
+	if !h.Start().Equal(t0) {
+		t.Fatalf("Start = %v, want %v", h.Start(), t0)
+	}
 }
 
 func TestHistoryCompactPreservesTotal(t *testing.T) {
@@ -29,7 +32,7 @@ func TestHistoryCompactPreservesTotal(t *testing.T) {
 		}
 		now := t0.Add(60 * 24 * time.Hour)
 		h.Compact(now)
-		return almostEq(h.Fine().Total()+h.Coarse().Total(), total)
+		return almostEq(h.fine.Total()+h.coarse.Total(), total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -53,8 +56,8 @@ func TestHistoryCompactMovesOldData(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("expected fine bins to be released")
 	}
-	if h.Coarse().Total() != 10 {
-		t.Fatalf("coarse total = %v, want 10", h.Coarse().Total())
+	if h.coarse.Total() != 10 {
+		t.Fatalf("coarse total = %v, want 10", h.coarse.Total())
 	}
 	// The old arrival is now readable from the coarse tier (averaged per
 	// minute within its hour).
@@ -64,26 +67,6 @@ func TestHistoryCompactMovesOldData(t *testing.T) {
 	// Compacting again right away is a no-op.
 	if h.Compact(now) != 0 {
 		t.Fatal("second compact should move nothing")
-	}
-}
-
-func TestHistoryFullHourly(t *testing.T) {
-	h := NewHistory(t0)
-	// 90 arrivals in hour 0, 30 in hour 1, both before the fine window.
-	for i := 0; i < 90; i++ {
-		h.Record(t0.Add(time.Duration(i%60)*time.Minute), 1)
-	}
-	h.Record(t0.Add(40*24*time.Hour), 5)
-	h.Compact(t0.Add(40 * 24 * time.Hour))
-	full := h.FullHourly()
-	if got := full.At(t0); got != 90 {
-		t.Fatalf("hour 0 = %v, want 90", got)
-	}
-	if got := full.At(t0.Add(40 * 24 * time.Hour)); got != 5 {
-		t.Fatalf("recent hour = %v, want 5", got)
-	}
-	if full.Total() != 95 {
-		t.Fatalf("total = %v, want 95", full.Total())
 	}
 }
 
@@ -97,23 +80,6 @@ func TestHistoryBytesGrowsAndShrinks(t *testing.T) {
 	after := h.Bytes()
 	if after >= before {
 		t.Fatalf("compaction did not shrink storage: %d -> %d", before, after)
-	}
-}
-
-func TestMetricsKnownValues(t *testing.T) {
-	mse, err := MSE([]float64{1, 2}, []float64{3, 2})
-	if err != nil || mse != 2 {
-		t.Fatalf("MSE = %v, %v", mse, err)
-	}
-	if _, err := MSE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := MSE(nil, nil); err == nil {
-		t.Fatal("expected empty error")
-	}
-	lm, err := LogMSE([]float64{0}, []float64{0})
-	if err != nil || lm != 0 {
-		t.Fatalf("LogMSE = %v, %v", lm, err)
 	}
 }
 
@@ -138,18 +104,6 @@ func TestLogExpRoundTrip(t *testing.T) {
 	}
 	if Expm1Clamped(-100) != 0 {
 		t.Fatal("negative output should clamp")
-	}
-}
-
-func TestLogTransformVector(t *testing.T) {
-	in := []float64{0, 1, -3}
-	out := LogTransform(in)
-	if out[0] != 0 || out[2] != 0 {
-		t.Fatalf("LogTransform = %v", out)
-	}
-	back := ExpTransform(out)
-	if back[1] < 0.999 || back[1] > 1.001 {
-		t.Fatalf("round trip = %v", back)
 	}
 }
 
@@ -202,15 +156,20 @@ func TestHistoryMarshalRoundTrip(t *testing.T) {
 	if err := back.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if back.Fine().Total() != h.Fine().Total() || back.Coarse().Total() != h.Coarse().Total() {
+	if back.fine.Total() != h.fine.Total() || back.coarse.Total() != h.coarse.Total() {
 		t.Fatal("tier totals drifted")
 	}
-	if back.FullHourly().Total() != 10 {
-		t.Fatalf("full hourly = %v", back.FullHourly().Total())
+	if !back.Start().Equal(t0) {
+		t.Fatalf("Start = %v, want %v", back.Start(), t0)
+	}
+	var all [1]float64
+	back.Window(all[:], t0, 41*24*time.Hour)
+	if all[0] != 10 {
+		t.Fatalf("whole-history window = %v, want 10", all[0])
 	}
 	// The restored history keeps recording and compacting.
 	back.Record(t0.Add(41*24*time.Hour), 1)
-	if back.Fine().Total() != h.Fine().Total()+1 {
+	if back.fine.Total() != h.fine.Total()+1 {
 		t.Fatal("restored history not writable")
 	}
 }

@@ -1,43 +1,6 @@
 package timeseries
 
-import (
-	"fmt"
-	"math"
-)
-
-// MSE returns the mean squared error between predicted and actual values.
-func MSE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, fmt.Errorf("timeseries: MSE length mismatch %d vs %d", len(pred), len(actual))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("timeseries: MSE of empty series")
-	}
-	var s float64
-	for i, p := range pred {
-		d := p - actual[i]
-		s += d * d
-	}
-	return s / float64(len(pred)), nil
-}
-
-// LogMSE is the evaluation metric from the paper (§7.2): the mean squared
-// error computed in log space, i.e. mean((log1p(pred)-log1p(actual))²).
-// Negative inputs are clamped to zero since arrival rates cannot be negative.
-func LogMSE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, fmt.Errorf("timeseries: LogMSE length mismatch %d vs %d", len(pred), len(actual))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("timeseries: LogMSE of empty series")
-	}
-	var s float64
-	for i := range pred {
-		d := Log1pClamped(pred[i]) - Log1pClamped(actual[i])
-		s += d * d
-	}
-	return s / float64(len(pred)), nil
-}
+import "math"
 
 // Log1pClamped returns log(1+max(v,0)); the transform applied to arrival
 // rates before model training.
@@ -56,22 +19,4 @@ func Expm1Clamped(v float64) float64 {
 		return 0
 	}
 	return r
-}
-
-// LogTransform maps a slice through Log1pClamped.
-func LogTransform(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = Log1pClamped(x)
-	}
-	return out
-}
-
-// ExpTransform maps a slice through Expm1Clamped.
-func ExpTransform(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = Expm1Clamped(x)
-	}
-	return out
 }

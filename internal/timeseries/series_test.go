@@ -54,23 +54,6 @@ func TestAggregatePreservesTotal(t *testing.T) {
 	}
 }
 
-func TestAggregateTo(t *testing.T) {
-	s := NewSeries(t0, time.Minute)
-	for i := 0; i < 120; i++ {
-		s.Add(t0.Add(time.Duration(i)*time.Minute), 1)
-	}
-	h, err := s.AggregateTo(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 || h.Data[0] != 60 || h.Data[1] != 60 {
-		t.Fatalf("hourly = %v", h.Data)
-	}
-	if _, err := s.AggregateTo(90 * time.Second); err == nil {
-		t.Fatal("expected non-multiple interval error")
-	}
-}
-
 func TestSlice(t *testing.T) {
 	s := NewSeries(t0, time.Minute)
 	for i := 0; i < 10; i++ {
@@ -91,84 +74,13 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestSampleAt(t *testing.T) {
-	s := NewSeries(t0, time.Minute)
-	s.Add(t0.Add(3*time.Minute), 9)
-	got := s.SampleAt([]time.Time{t0, t0.Add(3 * time.Minute), t0.Add(time.Hour)})
-	if got[0] != 0 || got[1] != 9 || got[2] != 0 {
-		t.Fatalf("SampleAt = %v", got)
-	}
-}
-
-func TestAddSeries(t *testing.T) {
-	a := NewSeries(t0, time.Minute)
-	a.Add(t0, 1)
-	b := NewSeries(t0.Add(2*time.Minute), time.Minute)
-	b.Add(t0.Add(2*time.Minute), 5)
-	if err := a.AddSeries(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(t0.Add(2*time.Minute)) != 5 || a.At(t0) != 1 {
-		t.Fatalf("AddSeries result: %v", a.Data)
-	}
-	c := NewSeries(t0, time.Hour)
-	if err := a.AddSeries(c); err == nil {
-		t.Fatal("expected interval mismatch error")
-	}
-}
-
-func TestAverage(t *testing.T) {
-	a := NewSeries(t0, time.Minute)
-	a.Add(t0, 2)
-	a.Add(t0.Add(time.Minute), 4)
-	b := NewSeries(t0, time.Minute)
-	b.Add(t0, 6)
-	avg, err := Average([]*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg.At(t0) != 4 {
-		t.Fatalf("avg bin0 = %v, want 4", avg.At(t0))
-	}
-	if avg.At(t0.Add(time.Minute)) != 2 {
-		t.Fatalf("avg bin1 = %v, want 2 (4+0)/2", avg.At(t0.Add(time.Minute)))
-	}
-	if _, err := Average(nil); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-}
-
-func TestAverageAlignsDifferentStarts(t *testing.T) {
-	a := NewSeries(t0, time.Minute)
-	a.Add(t0, 10)
-	b := NewSeries(t0.Add(-2*time.Minute), time.Minute)
-	b.Add(t0.Add(-2*time.Minute), 20)
-	avg, err := Average([]*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !avg.Start.Equal(t0.Add(-2 * time.Minute)) {
-		t.Fatalf("avg start = %v", avg.Start)
-	}
-	if avg.At(t0.Add(-2*time.Minute)) != 10 || avg.At(t0) != 5 {
-		t.Fatalf("avg data = %v", avg.Data)
-	}
-}
-
-func TestScaleAndMean(t *testing.T) {
+func TestScale(t *testing.T) {
 	s := NewSeries(t0, time.Minute)
 	s.Add(t0, 2)
 	s.Add(t0.Add(time.Minute), 4)
 	s.Scale(0.5)
 	if s.Total() != 3 {
 		t.Fatalf("Total = %v", s.Total())
-	}
-	if s.Mean() != 1.5 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	empty := NewSeries(t0, time.Minute)
-	if empty.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
 	}
 }
 
