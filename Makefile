@@ -16,11 +16,15 @@ test-short:
 # The durability suite (mirrors the CI `faults` job): the failpoint and fsx
 # unit tests, the crash matrix (a fault injected at every registered
 # failpoint during save-under-concurrent-ingest must leave the previous
-# snapshot byte-identical and loadable), and the snapshot corruption table.
+# snapshot byte-identical and loadable), the corruption tables of the frame
+# (TestLoadRejectsCorruptSnapshots), of the body behind its CRC
+# (TestRestoreSnapshotErrors) and of one history (TestDecodeHistoryErrors),
+# the v2 refusal, and the restored-twin contract.
 # -count=1 defeats the test cache: fault schedules are process-global state.
 test-faults:
 	$(GO) test -count=1 ./internal/failpoint/ ./internal/fsx/
-	$(GO) test -count=1 -run 'TestCrashMatrixSaveUnderIngest|TestSaveFileLoadFileRoundTrip|TestLoadRejectsCorruptSnapshots' .
+	$(GO) test -count=1 -run 'TestCrashMatrixSaveUnderIngest|TestSaveFileLoadFileRoundTrip|TestLoadRejectsCorruptSnapshots|TestLoadRefusesV2Snapshot|TestRestoredTwinMatchesUnrestarted' .
+	$(GO) test -count=1 -run 'TestRestoreSnapshotErrors|TestSnapshotRoundTrip|TestDecodeHistoryErrors|TestHistoryBinaryRoundTrip' ./internal/preprocess/ ./internal/timeseries/
 
 cover:
 	$(GO) test -cover ./...
@@ -63,9 +67,13 @@ lint-stats:
 # over them quotes before and after.
 size:
 	@printf 'timeseries+cluster+core+experiments code lines: '; ls internal/timeseries/*.go internal/cluster/*.go internal/core/*.go internal/experiments/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+	@printf 'persistence (preprocess/snapshot.go + timeseries/marshal.go) code lines: '; cat internal/preprocess/snapshot.go internal/timeseries/marshal.go | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
-# 30-second coverage-guided fuzz of the SQL parser (mirrors the CI smoke).
+# Coverage-guided fuzz smokes (mirror CI): 20 s of correctly framed arbitrary
+# snapshot bodies against the decoder behind the CRC (an accepted body runs a
+# whole Maintain, hence the minimize cap), then 30 s of the SQL parser.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotBody -fuzztime 20s -fuzzminimizetime 2s .
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParse -fuzztime 30s
 
 # Full local equivalent of the CI pipeline: lint, build, test, race, and a

@@ -1,9 +1,14 @@
 package qb5000
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"runtime/metrics"
 	"testing"
 	"time"
+
+	"qb5000/internal/core"
 )
 
 // TestObserveHitPathAllocs is the allocation gate for the fingerprint-cache
@@ -80,4 +85,55 @@ func TestObserveMissPathAllocs(t *testing.T) {
 	if allocs > 60 {
 		t.Errorf("cache-miss Observe allocated %.1f allocs/op, want ≤60", allocs)
 	}
+}
+
+// TestSaveLoadAllocs bounds the bytes a snapshot round trip allocates on the
+// 1,000-member benchmark catalog, as multiples of the bins themselves
+// (Preprocessor.HistoryBytes, ~92 MB). Save holds one encoded copy of the
+// bins (1.0 ×) plus the small gob header; Load holds the verified frame body
+// (read in a few growing steps, ~1.15 ×) plus the decoded bins (1.0 ×). The
+// envelope → gob DTO → nested MarshalBinary stack this replaced measured
+// 13.1 × and 12.8 ×.
+func TestSaveLoadAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctl, err := forecastBenchState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := ctl.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	bins := float64(ctl.Preprocessor().HistoryBytes())
+	save := totalAlloc(func() { err = ctl.Snapshot(io.Discard) }) / bins
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := totalAlloc(func() { _, err = core.RestoreController(forecastBenchConfig, bytes.NewReader(snap.Bytes())) }) / bins
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("bins %.1f MB: Save allocates %.2f ×, Load %.2f ×", bins/1e6, save, load)
+	if save > 1.5 {
+		t.Errorf("Save allocated %.2f × the bins, want ≤ 1.5 ×", save)
+	}
+	if load > 4 {
+		t.Errorf("Load allocated %.2f × the bins, want ≤ 4 ×", load)
+	}
+}
+
+// totalAlloc is the number of heap bytes the process allocates while fn runs,
+// read from runtime/metrics so that a fuzz target can afford it per input.
+func totalAlloc(fn func()) float64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	fn()
+	metrics.Read(sample)
+	return float64(sample[0].Value.Uint64() - before)
 }

@@ -6,6 +6,7 @@
 package qb5000
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -372,17 +373,21 @@ func BenchmarkReplayIngest(b *testing.B) {
 	}
 }
 
+// forecastBenchConfig is the configuration forecastBenchState runs under and
+// BenchmarkLoad restores under.
+var forecastBenchConfig = core.Config{
+	Model:                "LR",
+	Horizons:             []time.Duration{time.Hour},
+	Seed:                 1,
+	FingerprintCacheSize: 2000,
+}
+
 // forecastBenchState builds, once per process, a controller whose current
 // epoch tracks 1,000 member templates, each primed with 8 days of hourly
 // arrivals in one of four phase-shifted diurnal shapes.
 var forecastBenchState = sync.OnceValues(func() (*core.Controller, error) {
 	const members, days = 1000, 8
-	ctl := core.New(core.Config{
-		Model:                "LR",
-		Horizons:             []time.Duration{time.Hour},
-		Seed:                 1,
-		FingerprintCacheSize: 2 * members,
-	})
+	ctl := core.New(forecastBenchConfig)
 	queries := make([]string, members)
 	for i := range queries {
 		queries[i] = fmt.Sprintf("SELECT a, b FROM t%d WHERE x = 1 AND y = 2", i)
@@ -449,6 +454,52 @@ func BenchmarkRefresh(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := ctl.Refresh(context.Background(), now); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSave measures Controller.Snapshot of the same 1,000-member catalog
+// into a discarding writer, so the number is the encode alone; MB/s is
+// relative to the bins (Preprocessor.HistoryBytes). TestSaveLoadAllocs gates
+// the bytes allocated; this has no threshold.
+func BenchmarkSave(b *testing.B) {
+	if testing.Short() {
+		b.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")
+	}
+	ctl, err := forecastBenchState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(ctl.Preprocessor().HistoryBytes()))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ctl.Snapshot(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoad measures core.RestoreController over that snapshot held in
+// memory: frame check, decode and catalog rebuild, no file I/O.
+func BenchmarkLoad(b *testing.B) {
+	if testing.Short() {
+		b.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")
+	}
+	ctl, err := forecastBenchState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := ctl.Snapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(ctl.Preprocessor().HistoryBytes()))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.RestoreController(forecastBenchConfig, bytes.NewReader(snap.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -612,15 +611,11 @@ func (c *Controller) liveTracked(ep *epoch) []*cluster.Cluster {
 }
 
 // Snapshot persists the controller's durable state (the template catalog
-// with arrival histories) framed in the torn-write-detecting envelope (see
-// envelope.go). Clusters and models are derived state and are rebuilt by
+// with arrival histories) as the preprocess layer's checksummed frame,
+// streamed to w. Clusters and models are derived state and are rebuilt by
 // the first Refresh after a restore.
 func (c *Controller) Snapshot(w io.Writer) error {
-	var body bytes.Buffer
-	if err := c.pre.Snapshot(&body); err != nil {
-		return err
-	}
-	return writeSnapshotEnvelope(w, body.Bytes())
+	return c.pre.Snapshot(w)
 }
 
 // RestoreController rebuilds a controller from a snapshot stream, rejecting
@@ -629,12 +624,8 @@ func (c *Controller) Snapshot(w io.Writer) error {
 // clustering/model state; call Refresh (or let Tick fire) to rebuild it
 // from the restored histories.
 func RestoreController(cfg Config, r io.Reader) (*Controller, error) {
-	body, err := readSnapshotEnvelope(r)
-	if err != nil {
-		return nil, err
-	}
 	c := New(cfg)
-	pre, err := preprocess.RestoreSnapshotCache(bytes.NewReader(body), c.cfg.Shards, c.cfg.FingerprintCacheSize)
+	pre, err := preprocess.RestoreSnapshotCache(r, c.cfg.Shards, c.cfg.FingerprintCacheSize)
 	if err != nil {
 		return nil, err
 	}

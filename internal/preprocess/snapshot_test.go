@@ -2,6 +2,11 @@ package preprocess
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -93,12 +98,121 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreSnapshotErrors(t *testing.T) {
-	if _, err := RestoreSnapshotCache(strings.NewReader("not a gob stream"), 0, 0); err == nil {
-		t.Fatal("expected decode error")
+// frameBody wraps body in a snapshot frame with a correct length and CRC, the
+// way a crafted or version-skewed file would arrive: past the checksum.
+func frameBody(body []byte) []byte {
+	out := binary.BigEndian.AppendUint64([]byte(snapshotMagic), uint64(len(body)))
+	out = append(out, body...)
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+}
+
+// reframe decodes a good snapshot into its header and bins, lets mutate edit
+// both, and frames the result again.
+func reframe(t *testing.T, good []byte, mutate func(hdr *snapshotHeader, bins []byte) []byte) []byte {
+	t.Helper()
+	body := bytes.NewReader(good[16 : len(good)-4])
+	var hdr snapshotHeader
+	if err := gob.NewDecoder(body).Decode(&hdr); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RestoreSnapshotCache(bytes.NewReader(nil), 0, 0); err == nil {
-		t.Fatal("expected EOF error")
+	bins, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins = mutate(&hdr, bins)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	return frameBody(append(out.Bytes(), bins...))
+}
+
+// TestRestoreSnapshotErrors is the corruption table for what a checksum
+// cannot catch: every row is a frame with a correct magic, length and CRC
+// whose body a crafted or version-skewed writer got wrong. Each must be
+// refused with an error that says what is wrong, never restored in part.
+func TestRestoreSnapshotErrors(t *testing.T) {
+	p := New(Options{Seed: 3})
+	for _, q := range []string{"SELECT a FROM t WHERE x = 1", "UPDATE t SET a = 7 WHERE id = 3", "DELETE FROM u WHERE k = 4"} {
+		if _, err := p.ProcessBatch(q, base, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := p.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	// Each history here is two 16-byte tier headers around one fine bin.
+	const histLen, fineCount, fineBin = 40, 8, 16
+	setBin := func(v float64) func(*snapshotHeader, []byte) []byte {
+		return func(_ *snapshotHeader, bins []byte) []byte {
+			binary.LittleEndian.PutUint64(bins[histLen+fineBin:], math.Float64bits(v))
+			return bins
+		}
+	}
+	cases := []struct {
+		name    string
+		in      []byte
+		wantSub string
+	}{
+		{"not a frame", []byte("not a snapshot, just sixteen or more bytes"), "magic"},
+		{"empty", nil, "truncated"},
+		{"body is not gob", frameBody([]byte("not a gob stream")), "snapshot header"},
+		{"empty body", frameBody(nil), "snapshot header"},
+		{"bin count past the bytes present", reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte {
+			binary.LittleEndian.PutUint64(bins[fineCount:], 1<<50)
+			return bins
+		}), "template 1: timeseries: tier declares 1125899906842624 bins"},
+		{"last history missing", reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte {
+			return bins[:2*histLen]
+		}), "template 3: timeseries: history truncated"},
+		{"bytes after the last history", reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte {
+			return append(bins, 0)
+		}), "1 bytes follow the last template's history"},
+		{"NaN bin", reframe(t, good, setBin(math.NaN())), "template 2: timeseries: bin 0 is NaN"},
+		{"infinite bin", reframe(t, good, setBin(math.Inf(1))), "template 2: timeseries: bin 0 is +Inf"},
+		{"negative bin", reframe(t, good, setBin(-5)), "template 2: timeseries: bin 0 is -5"},
+		{"tier start off its boundary", reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte {
+			binary.LittleEndian.PutUint64(bins, uint64(base.Unix()+7))
+			return bins
+		}), "not on a 1m0s boundary"},
+		{"keys out of order", reframe(t, good, func(hdr *snapshotHeader, bins []byte) []byte {
+			hdr.Templates[0], hdr.Templates[1] = hdr.Templates[1], hdr.Templates[0]
+			return bins
+		}), "does not sort after"},
+		{"duplicate key", reframe(t, good, func(hdr *snapshotHeader, bins []byte) []byte {
+			hdr.Templates[2] = hdr.Templates[1]
+			return bins
+		}), "template 3: key"},
+		{"reservoir seen below samples held", reframe(t, good, func(hdr *snapshotHeader, bins []byte) []byte {
+			hdr.Templates[0].ReservoirSeen = -4
+			return bins
+		}), "reservoir holds 1 samples of -4 seen"},
+		{"SQL that no longer parses", reframe(t, good, func(hdr *snapshotHeader, bins []byte) []byte {
+			hdr.Templates[1].SQL = "SELEKT a FROM t"
+			return bins
+		}), `template 2: canonical SQL "SELEKT a FROM t" no longer parses`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RestoreSnapshotCache(bytes.NewReader(tc.in), 0, 0)
+			if err == nil {
+				t.Fatal("restored a corrupt snapshot")
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+	// An untouched reframe still restores, and to the same bytes: the rows
+	// above are refused for their edits, not for having been reframed.
+	same := reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte { return bins })
+	if !bytes.Equal(same, good) {
+		t.Fatal("reframing an unedited snapshot changed its bytes")
+	}
+	if _, err := RestoreSnapshotCache(bytes.NewReader(same), 0, 0); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 }
 
@@ -131,4 +245,38 @@ func historyTotal(h *timeseries.History) float64 {
 	var total [1]float64
 	h.Window(total[:], h.Start(), 365*24*time.Hour)
 	return total[0]
+}
+
+// FuzzTemplateReparses pins the invariant a restore relies on: whatever SQL
+// the catalog accepts, the canonical template it stores parses again.
+// RestoreSnapshotCache refuses a snapshot holding a template that does not,
+// so a single accepted query that broke this would make every later
+// snapshot unloadable (a quoted identifier such as `0` or "select", rendered
+// bare, once did). The re-parse may normalize once more — "İ" lower-cases to
+// a bare i — but what it yields must then be a fixed point.
+func FuzzTemplateReparses(f *testing.F) {
+	for _, s := range []string{
+		"SELECT a FROM t WHERE x = 1",
+		"DELETE FROM `0`",
+		`SELECT "select", "My Col" AS "a b" FROM "order" AS "1" WHERE "1"."x y" = 3`,
+		`INSERT INTO "t t" ("from", b) VALUES (1, 'x'), (2, 'y')`,
+		"UPDATE `a\"b` SET `where` = `where` + 1 WHERE \"c`d\"(`2`) > - -1",
+		`SELECT "*", "", "İ" FROM t GROUP BY "" HAVING COUNT(*) > 1 ORDER BY "9" DESC LIMIT 5`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		stored, err := Templatize(raw)
+		if err != nil {
+			return
+		}
+		restored, err := Templatize(stored.SQL)
+		if err != nil {
+			t.Fatalf("template of %q does not re-parse: %q: %v", raw, stored.SQL, err)
+		}
+		again, err := Templatize(restored.SQL)
+		if err != nil || again.SQL != restored.SQL || again.Features.SemanticKey() != restored.Features.SemanticKey() {
+			t.Fatalf("template of %q never settles: %q, then %q, then %q (%v)", raw, stored.SQL, restored.SQL, again.SQL, err)
+		}
+	})
 }

@@ -164,7 +164,15 @@ func lexInto(dst []Token, input string) ([]Token, error) {
 			if j >= n {
 				return dst, &SyntaxError{Pos: start, Msg: "unterminated quoted identifier"}
 			}
-			dst = append(dst, Token{Kind: TokIdent, Text: input[i:j], Pos: start})
+			// An ordinary word folds with its bare spelling. Anything that
+			// would not lex back bare as one identifier — a digit first, a
+			// space, a keyword, nothing at all — keeps its quotes as part of
+			// the name, so that rendering it re-parses to the same name.
+			text := input[i:j]
+			if !isBareIdent(text) {
+				text = input[start : j+1]
+			}
+			dst = append(dst, Token{Kind: TokIdent, Text: text, Pos: start})
 			i = j + 1
 		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
 			start := i
@@ -328,4 +336,20 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool {
 	return c == '_' || c == '$' || isIdentStart(c) || isDigit(c)
+}
+
+// isBareIdent reports whether s, unquoted, lexes as exactly one identifier.
+//
+// qb5000:noalloc
+func isBareIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(s[i]) {
+			return false
+		}
+	}
+	_, keyword := keywordFor(s)
+	return !keyword
 }

@@ -120,7 +120,8 @@ func TestLexQuotedIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != TokIdent || toks[0].Text != "My Table" {
+	// A name that would not lex back bare keeps its quotes; see lexInto.
+	if toks[0].Kind != TokIdent || toks[0].Text != `"My Table"` {
 		t.Fatalf("quoted ident: %v", toks[0])
 	}
 	if toks[1].Kind != TokIdent || toks[1].Text != "col" {

@@ -112,6 +112,14 @@ var roundTrips = []struct{ in, want string }{
 		"SELECT eta FROM p WHERE stop = ? AND route = $2",
 		"SELECT eta FROM p WHERE (stop = ? AND route = ?)",
 	},
+	{
+		// A quoted identifier that is an ordinary word folds with its bare
+		// spelling; one that would not lex back bare (a digit first, a space,
+		// a keyword, a quote character) keeps its quotes, so that the
+		// canonical form re-parses.
+		"select \"Users\".`Name`, `My Col` x, \"*\" from `0` \"select\" where `a\"b`(\"1\") = ''",
+		"SELECT users.name, `my col` AS x, \"*\" FROM `0` AS \"select\" WHERE `A\"B`(\"1\") = ''",
+	},
 }
 
 func TestParseRoundTrip(t *testing.T) {

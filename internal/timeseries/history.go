@@ -11,14 +11,13 @@ import (
 // stale records (paper §4: "the system aggregates stale arrival rate records
 // into larger intervals to save storage space").
 type History struct {
-	fine   *Series       // recent 1-minute bins
-	coarse *Series       // aggregated older bins
-	window time.Duration // how much trailing history stays fine-grained
-	ratio  int           // coarse interval = fine interval * ratio
+	fine   *Series // recent 1-minute bins
+	coarse *Series // aggregated older bins, DefaultCompactionRatio minutes each
 }
 
-// DefaultFineWindow keeps one month of minute-level data, matching the
-// clusterer's "last month" feature window (§5.1).
+// DefaultFineWindow is how much trailing history stays fine-grained: one
+// month of minute-level data, matching the clusterer's "last month" feature
+// window (§5.1).
 const DefaultFineWindow = 31 * 24 * time.Hour
 
 // DefaultCompactionRatio aggregates stale data into one-hour bins, the
@@ -30,8 +29,6 @@ func NewHistory(start time.Time) *History {
 	return &History{
 		fine:   NewSeries(start, Minute),
 		coarse: NewSeries(start, Minute*DefaultCompactionRatio),
-		window: DefaultFineWindow,
-		ratio:  DefaultCompactionRatio,
 	}
 }
 
@@ -41,7 +38,7 @@ func (h *History) Record(t time.Time, count float64) { h.fine.Add(t, count) }
 // Compact moves fine bins older than now-window into the coarse tier.
 // It returns the number of fine bins released.
 func (h *History) Compact(now time.Time) int {
-	cutoff := now.Add(-h.window).Truncate(h.coarse.Interval)
+	cutoff := now.Add(-DefaultFineWindow).Truncate(h.coarse.Interval)
 	n := h.fine.indexOf(cutoff)
 	if n <= 0 {
 		return 0
@@ -50,7 +47,7 @@ func (h *History) Compact(now time.Time) int {
 		n = len(h.fine.Data)
 	}
 	// Round down to a whole coarse bin so the two tiers never overlap.
-	n -= n % h.ratio
+	n -= n % DefaultCompactionRatio
 	if n <= 0 {
 		return 0
 	}
@@ -85,7 +82,7 @@ func (h *History) At(t time.Time) float64 {
 	if t.Before(h.coarse.Start) {
 		return 0
 	}
-	return h.coarse.At(t) / float64(h.ratio)
+	return h.coarse.At(t) / float64(DefaultCompactionRatio)
 }
 
 // Window adds to dst[i] the arrivals in [from+i·step, from+(i+1)·step); step
@@ -112,16 +109,16 @@ func (h *History) Window(dst []float64, from time.Time, step time.Duration) {
 		var sum float64
 		end := (i + 1) * per
 		for k := max(i*per, -c); k < min(end, -f); {
-			j := (c + k) / h.ratio
+			j := (c + k) / DefaultCompactionRatio
 			if j >= len(coarse) {
 				break
 			}
 			// stop is the first minute past hour j's compacted extent.
-			stop := min((j+1)*h.ratio-c, -f)
-			if k == j*h.ratio-c && stop <= end {
+			stop := min((j+1)*DefaultCompactionRatio-c, -f)
+			if k == j*DefaultCompactionRatio-c && stop <= end {
 				sum += coarse[j]
 			} else {
-				v := coarse[j] / float64(h.ratio)
+				v := coarse[j] / float64(DefaultCompactionRatio)
 				for n := min(stop, end) - k; n > 0; n-- {
 					sum += v
 				}
@@ -154,8 +151,6 @@ func (h *History) Clone() *History {
 	return &History{
 		fine:   h.fine.Clone(),
 		coarse: h.coarse.Clone(),
-		window: h.window,
-		ratio:  h.ratio,
 	}
 }
 

@@ -1,159 +1,72 @@
 package timeseries
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
-// Binary layout versions; bump when the wire format changes.
-const (
-	seriesFormatVersion  = 1
-	historyFormatVersion = 1
-)
+// A history's bytes are its two tiers, fine then coarse, each
+//
+//	[8]   start, Unix seconds
+//	[8]   bin count n
+//	[8·n] bins, IEEE-754 bits
+//
+// all little-endian. Nothing else is stored: the tiers' intervals, the fine
+// window and the compaction ratio are this package's constants, so no file
+// can disagree with the code that reads it. AppendBinary and DecodeHistory
+// are the only two functions that know this layout; the catalog snapshot
+// (preprocess/snapshot.go) frames and checksums it.
 
-// MarshalBinary implements encoding.BinaryMarshaler: the framework persists
-// per-template arrival histories in its catalog snapshots.
-func (s *Series) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(seriesFormatVersion)
-	writeInt64(&buf, s.Start.Unix())
-	writeInt64(&buf, int64(s.Interval))
-	writeInt64(&buf, int64(len(s.Data)))
-	for _, v := range s.Data {
-		writeUint64(&buf, math.Float64bits(v))
-	}
-	return buf.Bytes(), nil
-}
+// tierIntervals are the bin widths of the fine and the coarse tier.
+var tierIntervals = [2]time.Duration{Minute, Minute * DefaultCompactionRatio}
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *Series) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	ver, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("timeseries: truncated series: %w", err)
-	}
-	if ver != seriesFormatVersion {
-		return fmt.Errorf("timeseries: unsupported series format %d", ver)
-	}
-	start, err := readInt64(r)
-	if err != nil {
-		return err
-	}
-	interval, err := readInt64(r)
-	if err != nil {
-		return err
-	}
-	if interval <= 0 {
-		return fmt.Errorf("timeseries: invalid interval %d", interval)
-	}
-	n, err := readInt64(r)
-	if err != nil {
-		return err
-	}
-	if n < 0 || n > int64(r.Len()/8) {
-		return fmt.Errorf("timeseries: invalid series length %d", n)
-	}
-	s.Start = time.Unix(start, 0).UTC()
-	s.Interval = time.Duration(interval)
-	s.Data = make([]float64, n)
-	for i := range s.Data {
-		bits, err := readUint64(r)
-		if err != nil {
-			return err
+// AppendBinary appends the history's encoding to dst and returns the extended
+// slice, growing dst once by exactly the encoded size.
+func (h *History) AppendBinary(dst []byte) []byte {
+	dst = slices.Grow(dst, 32+h.Bytes())
+	for _, s := range [2]*Series{h.fine, h.coarse} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Start.Unix()))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.Data)))
+		for _, v := range s.Data {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
-		s.Data[i] = math.Float64frombits(bits)
 	}
-	return nil
+	return dst
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (h *History) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(historyFormatVersion)
-	writeInt64(&buf, int64(h.window))
-	writeInt64(&buf, int64(h.ratio))
-	for _, s := range []*Series{h.fine, h.coarse} {
-		b, err := s.MarshalBinary()
-		if err != nil {
-			return nil, err
+// DecodeHistory decodes one history from the front of src and returns it
+// with the bytes that follow it. A bin count is checked against the bytes
+// present before anything is allocated; a tier start off its interval's
+// boundary and a bin that is NaN, infinite or negative are errors — an
+// arrival count is none of those, and a model must never see one.
+func DecodeHistory(src []byte) (*History, []byte, error) {
+	var tiers [2]*Series
+	for i, interval := range tierIntervals {
+		if len(src) < 16 {
+			return nil, nil, fmt.Errorf("timeseries: history truncated: %d bytes left for a 16-byte tier header", len(src))
 		}
-		writeInt64(&buf, int64(len(b)))
-		buf.Write(b)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (h *History) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	ver, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("timeseries: truncated history: %w", err)
-	}
-	if ver != historyFormatVersion {
-		return fmt.Errorf("timeseries: unsupported history format %d", ver)
-	}
-	window, err := readInt64(r)
-	if err != nil {
-		return err
-	}
-	ratio, err := readInt64(r)
-	if err != nil {
-		return err
-	}
-	if window <= 0 || ratio <= 0 {
-		return fmt.Errorf("timeseries: invalid history params window=%d ratio=%d", window, ratio)
-	}
-	h.window = time.Duration(window)
-	h.ratio = int(ratio)
-	for _, dst := range []**Series{&h.fine, &h.coarse} {
-		n, err := readInt64(r)
-		if err != nil {
-			return err
+		start := int64(binary.LittleEndian.Uint64(src))
+		n := binary.LittleEndian.Uint64(src[8:])
+		src = src[16:]
+		if start%int64(interval/time.Second) != 0 {
+			return nil, nil, fmt.Errorf("timeseries: tier start %d is not on a %v boundary", start, interval)
 		}
-		if n < 0 || n > int64(r.Len()) {
-			return fmt.Errorf("timeseries: invalid nested series length %d", n)
+		if n > uint64(len(src)/8) {
+			return nil, nil, fmt.Errorf("timeseries: tier declares %d bins, only %d bytes remain", n, len(src))
 		}
-		b := make([]byte, n)
-		if _, err := r.Read(b); err != nil {
-			return err
+		data := make([]float64, n)
+		for j := range data {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				return nil, nil, fmt.Errorf("timeseries: bin %d is %v; an arrival count is finite and non-negative", j, v)
+			}
+			data[j] = v
 		}
-		s := &Series{}
-		if err := s.UnmarshalBinary(b); err != nil {
-			return err
-		}
-		*dst = s
+		tiers[i] = &Series{Start: time.Unix(start, 0).UTC(), Interval: interval, Data: data}
+		src = src[8*n:]
 	}
-	return nil
-}
-
-func writeInt64(buf *bytes.Buffer, v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	buf.Write(b[:])
-}
-
-func writeUint64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func readInt64(r *bytes.Reader) (int64, error) {
-	var b [8]byte
-	if _, err := r.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("timeseries: truncated data: %w", err)
-	}
-	return int64(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func readUint64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := r.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("timeseries: truncated data: %w", err)
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return &History{fine: tiers[0], coarse: tiers[1]}, src, nil
 }

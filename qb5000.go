@@ -374,8 +374,9 @@ func LoadFile(cfg Config, path string) (*Forecaster, error) {
 }
 
 // Load reconstructs a Forecaster from a snapshot written by Save, under the
-// given configuration. The stream carries a length-prefixed, checksummed
-// envelope; truncation and corruption surface as clean errors, never as a
+// given configuration. The stream is one length-prefixed, checksummed
+// frame, verified before anything in it is decoded; truncation, corruption
+// and snapshots in an earlier format surface as clean errors, never as a
 // decoder panic or silently partial state.
 func Load(cfg Config, r io.Reader) (*Forecaster, error) {
 	ctl, err := core.RestoreController(cfg.coreConfig(), r)
