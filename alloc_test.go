@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/metrics"
 	"testing"
 	"time"
@@ -124,6 +125,44 @@ func TestSaveLoadAllocs(t *testing.T) {
 	}
 	if load > 4 {
 		t.Errorf("Load allocated %.2f × the bins, want ≤ 4 ×", load)
+	}
+}
+
+// TestForecastAllocs bounds what one Controller.Forecast allocates on the
+// 1,000-member benchmark catalog: the lag × clusters input, one accumulator,
+// the model's prediction and the result slice — nothing that grows with the
+// members or their histories. The clone-per-call path this replaced
+// allocated 106 MB in 9,048 objects.
+func TestForecastAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctl, err := forecastBenchState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// runtime.MemStats, not totalAlloc: the runtime/metrics counter is
+	// flushed per span and reads 0 for a couple of kilobytes.
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if forecastSink, err = ctl.Forecast(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	objects := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("one Forecast allocates %d B in %d objects", bytes, objects)
+	if bytes > 64<<10 {
+		t.Errorf("Forecast allocated %d B, want ≤ 64 KB", bytes)
+	}
+	if objects > 64 {
+		t.Errorf("Forecast allocated %d objects, want ≤ 64", objects)
 	}
 }
 

@@ -419,8 +419,9 @@ var forecastSink []core.ClusterForecast
 
 // BenchmarkForecast measures Controller.Forecast at catalog-wide scale
 // (1,000 tracked members × 8 days of history), the one read path nothing
-// else under `go test` times. No threshold: it exists so a change to the
-// forecast path can quote its before-number from main.
+// else under `go test` times. TestForecastAllocs gates what it allocates;
+// the time has no threshold and exists so a change to the forecast path can
+// quote its before-number from main.
 func BenchmarkForecast(b *testing.B) {
 	if testing.Short() {
 		b.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")

@@ -85,7 +85,9 @@ func TestForecastDeterminismAcrossParallelism(t *testing.T) {
 
 // TestConcurrentMaintainAndForecast exercises the Forecaster's concurrency
 // contract under the race detector: maintenance rebuilds model state while
-// forecasts, stats, and observations run from other goroutines.
+// forecasts, stats, and observations run from other goroutines. The
+// observer replays the workload's own next hour minute by minute, so the
+// arrivals fold into the very histories the forecasts are summing in place.
 func TestConcurrentMaintainAndForecast(t *testing.T) {
 	f, to := replayForecaster(t, Config{
 		Model:       "LR",
@@ -117,13 +119,11 @@ func TestConcurrentMaintainAndForecast(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		at := to
-		for i := 0; i < 50; i++ {
-			at = at.Add(time.Minute)
-			if err := f.ObserveBatch("SELECT a FROM t WHERE x = 1", at, 2); err != nil {
-				t.Errorf("observe: %v", err)
-				return
-			}
+		err := workload.BusTracker(3).Replay(to, to.Add(time.Hour), time.Minute, func(ev workload.Event) error {
+			return f.ObserveBatch(ev.SQL, ev.At, ev.Count)
+		})
+		if err != nil {
+			t.Errorf("observe: %v", err)
 		}
 	}()
 	for i := 0; i < 3; i++ {

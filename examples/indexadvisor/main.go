@@ -85,7 +85,7 @@ func forecastedQueries(ctl *core.Controller) []indexsel.WeightedQuery {
 	}
 	var out []indexsel.WeightedQuery
 	for _, p := range preds {
-		for _, id := range p.Cluster.MemberIDs() {
+		for _, id := range p.MemberIDs {
 			t, ok := ctl.Preprocessor().Template(id)
 			if !ok {
 				continue
@@ -101,7 +101,7 @@ func forecastedQueries(ctl *core.Controller) []indexsel.WeightedQuery {
 			}
 			out = append(out, indexsel.WeightedQuery{
 				SQL: sql, Stmt: stmt,
-				Weight: p.TotalRate / float64(p.Cluster.Size()),
+				Weight: p.TotalRate / float64(len(p.MemberIDs)),
 			})
 		}
 	}

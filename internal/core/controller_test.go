@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 	"time"
 
 	"qb5000/internal/cluster"
+	"qb5000/internal/mat"
 	"qb5000/internal/preprocess"
+	"qb5000/internal/timeseries"
 	"qb5000/internal/workload"
 )
 
@@ -370,4 +373,191 @@ func TestSpikeMatrixAlignsMembersToTheHour(t *testing.T) {
 			t.Errorf("hour %d = %v, want %v", i, got, want)
 		}
 	}
+}
+
+// referenceRates is the forecast oracle: the model input Forecast must build
+// and the rates it must return, computed the slow way from templates the
+// caller resolved. Each tracked cluster's
+// centre is rebuilt bin by bin with a plain minute loop over History.At —
+// members in ascending ID order, a member `resolve` does not know read from
+// the epoch's frozen copy — then averaged, logged, and handed to the epoch's
+// own model. It shares no code with Preprocessor.Window, History.Window or
+// cluster.CenterSeries.
+func referenceRates(t *testing.T, ctl *Controller, horizon time.Duration, resolve map[int64]*preprocess.Template) (input *mat.Matrix, perTemplate, total []float64) {
+	t.Helper()
+	ep := ctl.cur.Load()
+	interval, lag := ctl.cfg.Interval, ctl.lagIntervals()
+	now := ctl.LastSeen().Truncate(interval)
+	recent := mat.New(lag, len(ep.tracked))
+	for j, cl := range ep.tracked {
+		ids := cl.MemberIDs()
+		for i := 0; i < lag; i++ {
+			binStart := now.Add(-time.Duration(lag-i) * interval)
+			var centre float64
+			for _, id := range ids {
+				tm, ok := resolve[id]
+				if !ok {
+					tm = cl.Members[id]
+				}
+				var bin float64
+				for at := binStart; at.Before(binStart.Add(interval)); at = at.Add(time.Minute) {
+					bin += tm.History.At(at)
+				}
+				centre += bin
+			}
+			recent.Set(i, j, timeseries.Log1pClamped(centre*(1/float64(len(ids)))))
+		}
+	}
+	pred, err := ep.models[horizon].Predict(recent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, cl := range ep.tracked {
+		rate := timeseries.Expm1Clamped(min(pred[j], ep.maxTrainLog+1))
+		perTemplate = append(perTemplate, rate)
+		total = append(total, rate*float64(len(cl.Members)))
+	}
+	return recent, perTemplate, total
+}
+
+// TestForecastMatchesReference holds Forecast, which sums its input out of
+// the live stripes, to the oracle bit for bit: at 1, 2 and 8 stripes, on a
+// catalog restored onto a different stripe count (canonical IDs off their
+// home stripe), and with a tracked member evicted since the epoch was built.
+// Arrivals are always ingested after the maintenance pass, and the test
+// checks that they move the reference, so a Forecast that read the epoch's
+// frozen histories cannot pass.
+func TestForecastMatchesReference(t *testing.T) {
+	const horizon = time.Hour
+	w := workload.BusTracker(3)
+	trained := func(t *testing.T, cfg Config) (*Controller, time.Time) {
+		ctl := New(cfg)
+		to := replayDays(t, ctl, w, 3)
+		if err := ctl.Refresh(context.Background(), to); err != nil {
+			t.Fatal(err)
+		}
+		return ctl, to
+	}
+	// ingest replays the workload over [from, from+d), leaving out the
+	// template with semantic key `skip`. It then makes the order members are
+	// summed in visible: whole counts add exactly in any order, so in every
+	// tracked cluster of three or more the first member is booked +2^53
+	// arrivals and the last −2^53 in one bin of the lag window — summed
+	// ascending the counts in between lose their low bit to the big term,
+	// summed descending they do not.
+	ingest := func(t *testing.T, ctl *Controller, from time.Time, d time.Duration, skip string) {
+		t.Helper()
+		defer func() {
+			ep := ctl.cur.Load()
+			at := from.Add(d - 2*time.Hour)
+			for j, cl := range ep.tracked {
+				ids := ep.memberIDs[j]
+				if len(ids) < 3 {
+					continue
+				}
+				for id, v := range map[int64]float64{ids[0]: 1 << 53, ids[len(ids)-1]: -(1 << 53)} {
+					live, err := ctl.Preprocessor().Process(cl.Members[id].SQL, at)
+					if err != nil || live.ID != id {
+						t.Fatalf("member %d did not fold back into itself: %v, %v", id, live, err)
+					}
+					live.History.Record(at, v)
+				}
+			}
+		}()
+		err := w.Replay(from, from.Add(d), 10*time.Minute, func(ev workload.Event) error {
+			if skip != "" {
+				res, err := preprocess.Templatize(ev.SQL)
+				if err != nil {
+					return err
+				}
+				if res.Features.SemanticKey() == skip {
+					return nil
+				}
+			}
+			return ctl.Ingest(ev.SQL, ev.At, ev.Count)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, ctl *Controller) {
+		t.Helper()
+		got, err := ctl.Forecast(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make(map[int64]*preprocess.Template)
+		for _, tm := range ctl.Preprocessor().Templates() {
+			live[tm.ID] = tm
+		}
+		wantInput, wantPer, wantTotal := referenceRates(t, ctl, horizon, live)
+		// The input is compared too: a model can round a last-bit difference
+		// in one lag away, and the summation order shows nowhere else.
+		input := ctl.inputMatrix(ctl.cur.Load())
+		if !slices.EqualFunc(input.Data, wantInput.Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("model input %v, reference %v", input.Data, wantInput.Data)
+		}
+		if len(got) == 0 || len(got) != len(wantPer) {
+			t.Fatalf("Forecast returned %d clusters, the reference %d", len(got), len(wantPer))
+		}
+		for j, p := range got {
+			if math.Float64bits(p.PerTemplateRate) != math.Float64bits(wantPer[j]) ||
+				math.Float64bits(p.TotalRate) != math.Float64bits(wantTotal[j]) {
+				t.Errorf("cluster %d: Forecast (%v, %v), reference (%v, %v)",
+					p.Cluster.ID, p.PerTemplateRate, p.TotalRate, wantPer[j], wantTotal[j])
+			}
+			if !slices.Equal(p.MemberIDs, p.Cluster.MemberIDs()) {
+				t.Errorf("cluster %d: MemberIDs %v, cluster's %v", p.Cluster.ID, p.MemberIDs, p.Cluster.MemberIDs())
+			}
+		}
+		if _, frozenPer, _ := referenceRates(t, ctl, horizon, nil); slices.Equal(frozenPer, wantPer) {
+			t.Fatal("the epoch's frozen histories give the same reference: nothing was ingested after the maintain")
+		}
+	}
+
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ctl, to := trained(t, Config{Model: "LR", Horizons: []time.Duration{horizon}, Seed: 1, Shards: shards})
+			ingest(t, ctl, to, 3*time.Hour, "")
+			check(t, ctl)
+		})
+	}
+
+	t.Run("restored onto other stripes", func(t *testing.T) {
+		src := New(Config{Model: "LR", Seed: 1, Shards: 4})
+		to := replayDays(t, src, w, 3)
+		var snap bytes.Buffer
+		if err := src.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := RestoreController(Config{Model: "LR", Horizons: []time.Duration{horizon}, Seed: 1, Shards: 8}, &snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Refresh(context.Background(), to); err != nil {
+			t.Fatal(err)
+		}
+		ingest(t, ctl, to, 3*time.Hour, "")
+		check(t, ctl)
+	})
+
+	t.Run("evicted member", func(t *testing.T) {
+		ctl, to := trained(t, Config{Model: "LR", Horizons: []time.Duration{horizon}, Seed: 1, Shards: 2, EvictAfter: 6 * time.Hour})
+		ep := ctl.cur.Load()
+		victim := ep.tracked[0].Members[ep.memberIDs[0][1]]
+		// Seven hours without the victim, then a catalog sweep that does
+		// not rebuild the epoch: the victim is gone from the stripes while
+		// seventeen hours of its arrivals are still inside the lag window.
+		ingest(t, ctl, to, 7*time.Hour, victim.Key)
+		ctl.Preprocessor().Maintain(to.Add(7 * time.Hour))
+		if _, ok := ctl.Preprocessor().Template(victim.ID); ok {
+			t.Fatalf("template %d was not evicted", victim.ID)
+		}
+		var frozen [1]float64
+		victim.History.Window(frozen[:], ctl.LastSeen().Truncate(time.Hour).Add(-24*time.Hour), 24*time.Hour)
+		if frozen[0] == 0 {
+			t.Fatal("the evicted member has no arrivals in the lag window; the fallback is not exercised")
+		}
+		check(t, ctl)
+	})
 }

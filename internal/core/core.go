@@ -142,6 +142,10 @@ func (c Config) withDefaults() Config {
 type epoch struct {
 	// tracked are the modeled clusters, highest volume first.
 	tracked []*cluster.Cluster
+	// memberIDs[j] lists tracked[j]'s member template IDs in ascending
+	// order, sorted once when the epoch is built: the order a forecast adds
+	// the members' arrivals in (DESIGN §7: no map-order float sums).
+	memberIDs [][]int64
 	// models maps each horizon to its trained model.
 	models map[time.Duration]forecast.Model
 	// maxTrainLog caps forecasts: no prediction may exceed e× the largest
@@ -381,10 +385,10 @@ func (c *Controller) refreshLocked(ctx context.Context, now time.Time) error {
 func (c *Controller) retrain(ctx context.Context, now time.Time) error {
 	prev := c.cur.Load()
 	next := &epoch{
-		tracked: c.selectTracked(now),
 		models:  make(map[time.Duration]forecast.Model, len(c.cfg.Horizons)),
 		builtAt: now,
 	}
+	next.tracked, next.memberIDs = c.selectTracked(now)
 	if prev != nil {
 		next.maxTrainLog = prev.maxTrainLog
 		for h, m := range prev.models {
@@ -489,15 +493,18 @@ func (c *Controller) lagIntervals() int {
 
 // selectTracked picks the highest-volume clusters covering the target
 // fraction of the last day's workload, capped at MaxClusters, and snapshots
-// them so the epoch is immune to the clusterer's next in-place Update.
+// them so the epoch is immune to the clusterer's next in-place Update. With
+// each cluster it returns the sorted member IDs the epoch serves forecasts by.
 //
 // qb5000:locked maintainMu
-func (c *Controller) selectTracked(now time.Time) []*cluster.Cluster {
+func (c *Controller) selectTracked(now time.Time) ([]*cluster.Cluster, [][]int64) {
 	tracked := c.clu.Top(now, 24*time.Hour, c.cfg.CoverageTarget, c.cfg.MaxClusters)
+	ids := make([][]int64, len(tracked))
 	for i, cl := range tracked {
 		tracked[i] = cl.Snapshot()
+		ids[i] = tracked[i].MemberIDs()
 	}
-	return tracked
+	return tracked, ids
 }
 
 // trainSpan is the span the training matrix covers: whole intervals of the
@@ -533,10 +540,16 @@ func spikeMatrix(now time.Time, tracked []*cluster.Cluster) *mat.Matrix {
 
 // ClusterForecast is the prediction for one tracked cluster.
 type ClusterForecast struct {
-	// Cluster is the forecasted cluster, with members resolved against the
-	// latest catalog histories at forecast time. It is a snapshot private
-	// to this call; callers may read it without synchronization.
+	// Cluster is the forecasted cluster as the serving epoch holds it:
+	// immutable and shared by every forecast of that epoch, so callers may
+	// read it without synchronization and must not modify it. Its member
+	// templates — histories, counts, parameter samples — are as of the
+	// maintenance pass that built the epoch; only the rates below are
+	// computed from live data.
 	Cluster *cluster.Cluster
+	// MemberIDs are the cluster's member template IDs in ascending order,
+	// shared with the epoch like Cluster (read-only).
+	MemberIDs []int64
 	// PerTemplateRate is the predicted average arrival rate of the
 	// cluster's templates, in queries per interval.
 	PerTemplateRate float64
@@ -548,9 +561,12 @@ type ClusterForecast struct {
 // Forecast predicts the workload `horizon` into the future from the most
 // recent data (§3: predictions always use the latest history as input). It
 // reads the current epoch's models without blocking — maintenance and
-// ingest keep running — and resolves the tracked clusters' member
-// histories against the live catalog in one pass, so the model input
-// reflects arrivals ingested since the epoch was built.
+// ingest keep running — and sums each tracked cluster's input window out of
+// the live catalog (Preprocessor.Window), so the model input reflects
+// arrivals ingested since the epoch was built and no history is copied.
+// Each member is read at one instant under its stripe's lock, members one
+// lock hold after another; there is no catalog-wide instant, and ingest
+// landing between two reads shows in the later one only.
 func (c *Controller) Forecast(horizon time.Duration) ([]ClusterForecast, error) {
 	ep := c.cur.Load()
 	if ep == nil {
@@ -560,18 +576,14 @@ func (c *Controller) Forecast(horizon time.Duration) ([]ClusterForecast, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: no model trained for horizon %v", horizon)
 	}
-	now := c.LastSeen().Truncate(c.cfg.Interval)
-	live := c.liveTracked(ep)
-	// The model input: the last lag intervals ending at now.
-	lag := time.Duration(c.lagIntervals()) * c.cfg.Interval
-	recent := cluster.LogCenterMatrix(live, now.Add(-lag), now, c.cfg.Interval)
+	recent := c.inputMatrix(ep)
 	pred, err := m.Predict(recent)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ClusterForecast, 0, len(live))
+	out := make([]ClusterForecast, 0, len(ep.tracked))
 	cap := ep.maxTrainLog + 1
-	for j, cl := range live {
+	for j, cl := range ep.tracked {
 		p := pred[j]
 		if p > cap {
 			p = cap
@@ -579,6 +591,7 @@ func (c *Controller) Forecast(horizon time.Duration) ([]ClusterForecast, error) 
 		rate := timeseries.Expm1Clamped(p)
 		out = append(out, ClusterForecast{
 			Cluster:         cl,
+			MemberIDs:       ep.memberIDs[j],
 			PerTemplateRate: rate,
 			TotalRate:       rate * float64(len(cl.Members)),
 		})
@@ -586,28 +599,37 @@ func (c *Controller) Forecast(horizon time.Duration) ([]ClusterForecast, error) 
 	return out, nil
 }
 
-// liveTracked re-points the epoch's tracked clusters at fresh clones of
-// their member templates, fetched from the catalog in a single pass
-// (one stripe lock each instead of one catalog lock per member). Members
-// evicted from the catalog since the epoch was built keep their
-// epoch-frozen clone.
-func (c *Controller) liveTracked(ep *epoch) []*cluster.Cluster {
-	var ids []int64
-	for _, cl := range ep.tracked {
-		ids = append(ids, cl.MemberIDs()...)
-	}
-	fresh := c.pre.CloneByID(ids)
-	out := make([]*cluster.Cluster, 0, len(ep.tracked))
-	for _, cl := range ep.tracked {
-		live := cl.Snapshot()
-		for id := range live.Members {
-			if t, ok := fresh[id]; ok {
-				live.Members[id] = t
+// inputMatrix builds a forecast's model input from the live catalog: the
+// last lag intervals ending at the controller's clock, one column per
+// tracked cluster, each value log1p of the members' mean arrivals. It is
+// what cluster.LogCenterMatrix builds from cloned members, float for float —
+// members are added in ascending ID order, then scaled, then logged — with
+// every member read in place through Preprocessor.Window.
+func (c *Controller) inputMatrix(ep *epoch) *mat.Matrix {
+	now := c.LastSeen().Truncate(c.cfg.Interval)
+	lag := c.lagIntervals()
+	from := now.Add(-time.Duration(lag) * c.cfg.Interval)
+	recent := mat.New(lag, len(ep.tracked))
+	center := make([]float64, lag)
+	for j, cl := range ep.tracked {
+		ids := ep.memberIDs[j]
+		if len(ids) == 0 {
+			continue
+		}
+		clear(center)
+		for _, id := range ids {
+			if !c.pre.Window(id, center, from, c.cfg.Interval) {
+				// Evicted from the catalog since the epoch was built: the
+				// epoch's frozen copy is all that is left of it.
+				cl.Members[id].History.Window(center, from, c.cfg.Interval)
 			}
 		}
-		out = append(out, live)
+		scale := 1 / float64(len(ids))
+		for i, v := range center {
+			recent.Set(i, j, timeseries.Log1pClamped(v*scale))
+		}
 	}
-	return out
+	return recent
 }
 
 // Snapshot persists the controller's durable state (the template catalog

@@ -313,7 +313,7 @@ func forecastQueries(ctl *core.Controller) []indexsel.WeightedQuery {
 			if p.TotalRate <= 0 {
 				continue
 			}
-			ids := p.Cluster.MemberIDs()
+			ids := p.MemberIDs
 			for _, id := range ids {
 				t, ok := ctl.Preprocessor().Template(id)
 				if !ok {

@@ -360,38 +360,73 @@ func (s *catalogShard) appendClones(out []*Template) []*Template {
 
 // Template returns a copy of the template with the given ID, if present.
 func (p *Preprocessor) Template(id int64) (*Template, bool) {
+	var out *Template
+	ok := p.view(id, func(t *Template) { out = t.Clone() })
+	return out, ok
+}
+
+// Window adds the arrivals of template id over [from+i·step,
+// from+(i+1)·step) to dst[i], exactly as History.Window would, and reports
+// whether the ID is in the catalog; an unknown ID leaves dst untouched. The
+// read runs on the live history under its stripe's lock — one instant of that
+// one template — and copies nothing: it is how a forecast sums its lag
+// window without cloning the histories it reads from.
+func (p *Preprocessor) Window(id int64, dst []float64, from time.Time, step time.Duration) bool {
+	return p.view(id, func(t *Template) { t.History.Window(dst, from, step) })
+}
+
+// view runs fn on the live template with the given ID under its stripe's
+// lock and reports whether the ID is in the catalog. fn must not retain t or
+// anything reachable from it.
+func (p *Preprocessor) view(id int64, fn func(*Template)) bool {
 	// Fast path: live IDs encode their stripe in the low bits.
 	home := int(uint64(id) & p.shardMask)
-	if t, ok := p.shards[home].lookup(id); ok {
-		return t, true
+	if p.shards[home].view(id, fn) {
+		return true
 	}
 	// Restored snapshots carry canonical IDs whose low bits need not match
 	// the key-hash stripe; fall back to scanning the other stripes.
 	for i := range p.shards {
-		if i == home {
-			continue
-		}
-		if t, ok := p.shards[i].lookup(id); ok {
-			return t, true
+		if i != home && p.shards[i].view(id, fn) {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
-func (s *catalogShard) lookup(id int64) (*Template, bool) {
+func (s *catalogShard) view(id int64, fn func(*Template)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.byID[id]
-	if !ok {
-		return nil, false
+	if ok {
+		fn(t)
 	}
-	return t.Clone(), true
+	return ok
+}
+
+// Each runs fn on every live template, one stripe after another under that
+// stripe's lock and in no particular order within it — the whole-catalog
+// form of view, for readers that want a template's metadata or parameter
+// sample and not a copy of its history. fn must not retain t or anything
+// reachable from it, and must not call back into the Preprocessor.
+func (p *Preprocessor) Each(fn func(*Template)) {
+	for i := range p.shards {
+		p.shards[i].each(fn)
+	}
+}
+
+func (s *catalogShard) each(fn func(*Template)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range s.templates {
+		fn(t)
+	}
 }
 
 // CloneByID returns copies of the templates with the given IDs, keyed by ID.
-// IDs not in the catalog are simply absent from the result. The forecaster
-// uses this to resolve a tracked cluster's members against the latest
-// histories in one pass instead of one catalog lookup per member.
+// IDs not in the catalog are simply absent from the result. Nothing on a
+// serving path calls it any more (a forecast reads through Window); it stays
+// exported for the benchmark's trace.
 func (p *Preprocessor) CloneByID(ids []int64) map[int64]*Template {
 	want := make(map[int64]struct{}, len(ids))
 	for _, id := range ids {

@@ -3,6 +3,7 @@ package preprocess
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +164,84 @@ func TestTemplateCopiesAreDefensive(t *testing.T) {
 	cl[id].History.Record(base, 50)
 	if byID2, _ := p.Template(id); historyTotal(byID2.History) != 3 {
 		t.Fatal("CloneByID leaked a live history")
+	}
+}
+
+// TestWindowContract pins the forecast path's one read of the catalog:
+// Preprocessor.Window adds to dst exactly what Template(id).History.Window
+// adds — on a live catalog and on a restored one, whose canonical IDs need
+// not sit on the stripe their low bits name — leaves dst alone for an ID the
+// catalog does not hold, and keeps no reference to dst or hands out none to
+// the history.
+func TestWindowContract(t *testing.T) {
+	live := New(Options{Seed: 3, Shards: 4})
+	if _, rejected := live.ProcessMany(shardTrace()); rejected != 0 {
+		t.Fatalf("rejected %d observations", rejected)
+	}
+	var snap bytes.Buffer
+	if err := live.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSnapshotCache(&snap, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offHome := 0
+	for _, tm := range restored.Templates() {
+		home := &restored.shards[uint64(tm.ID)&restored.shardMask]
+		home.mu.Lock()
+		if _, ok := home.byID[tm.ID]; !ok {
+			offHome++
+		}
+		home.mu.Unlock()
+	}
+	if offHome == 0 {
+		t.Fatal("no restored ID is off its home stripe; the scan fallback is not exercised")
+	}
+
+	// A window that starts before the histories, ends after them, and whose
+	// step divides neither an hour nor the trace evenly.
+	from, step, bins := base.Add(-45*time.Minute), 7*time.Minute, 40
+	for _, tc := range []struct {
+		name string
+		p    *Preprocessor
+	}{{"live", live}, {"restored", restored}} {
+		for _, tm := range tc.p.Templates() {
+			// Non-zero contents show that Window adds rather than stores.
+			want := slices.Repeat([]float64{1.5}, bins)
+			got := slices.Clone(want)
+			tm.History.Window(want, from, step)
+			if !tc.p.Window(tm.ID, got, from, step) {
+				t.Fatalf("%s: Window(%d) = false for a catalogued template", tc.name, tm.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Window(%d) = %v, History.Window of its copy = %v", tc.name, tm.ID, got, want)
+			}
+			if slices.Equal(got, slices.Repeat([]float64{1.5}, bins)) {
+				t.Fatalf("%s: template %d has no arrivals in the window; the comparison is empty", tc.name, tm.ID)
+			}
+			// Nothing retained either way: later arrivals do not reach
+			// dst, and scribbling on dst does not reach the catalog.
+			if _, err := tc.p.ProcessBatch(tm.SQL, base.Add(3*time.Minute), 9); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: dst changed after a later arrival for template %d", tc.name, tm.ID)
+			}
+			clear(got)
+			after, _ := tc.p.Template(tm.ID)
+			if total := historyTotal(after.History); total != historyTotal(tm.History)+9 {
+				t.Fatalf("%s: template %d holds %v arrivals after its window was read and cleared, want %v",
+					tc.name, tm.ID, total, historyTotal(tm.History)+9)
+			}
+		}
+		dst := []float64{1, 2, 3}
+		if tc.p.Window(424242, dst, from, step) {
+			t.Fatalf("%s: Window reported an unknown ID as present", tc.name)
+		}
+		if !slices.Equal(dst, []float64{1, 2, 3}) {
+			t.Fatalf("%s: Window wrote %v into dst for an unknown ID", tc.name, dst)
+		}
 	}
 }
 

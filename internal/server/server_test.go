@@ -272,17 +272,13 @@ func TestObserveBodyLimit(t *testing.T) {
 }
 
 // gatedReader is a request body that parks the handler inside its permit:
-// the first Read closes entered (the handler has passed admission and holds
-// the gate), then every Read blocks until release is closed.
+// every Read blocks until release is closed.
 type gatedReader struct {
-	entered chan struct{}
 	release chan struct{}
-	once    sync.Once
 	data    *strings.Reader
 }
 
 func (g *gatedReader) Read(p []byte) (int, error) {
-	g.once.Do(func() { close(g.entered) })
 	<-g.release
 	return g.data.Read(p)
 }
@@ -296,7 +292,6 @@ func TestAdmissionSaturation(t *testing.T) {
 	ts, s := newTestServerWithConfig(t, Config{MaxInflight: 1})
 
 	holder := &gatedReader{
-		entered: make(chan struct{}),
 		release: make(chan struct{}),
 		data:    strings.NewReader("2018-05-01T00:00:00Z\tSELECT a FROM t\n"),
 	}
@@ -310,7 +305,14 @@ func TestAdmissionSaturation(t *testing.T) {
 		resp.Body.Close()
 		holderCode <- resp.StatusCode
 	}()
-	<-holder.entered // the permit is held; the handler is parked in Read
+	// The client transport starts reading the body before the handler is
+	// known to have run, so the gate itself says when the permit is held
+	// (the handler then parks in Read until released).
+	for deadline := time.Now().Add(10 * time.Second); s.observeGate.Stats().Inflight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the holder never took the permit: gate stats %+v", s.observeGate.Stats())
+		}
+	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {

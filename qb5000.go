@@ -24,6 +24,7 @@ import (
 	"context"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"qb5000/internal/cluster"
@@ -221,9 +222,12 @@ type ClusterForecast struct {
 // Forecast returns the predicted arrival rates for the tracked clusters at
 // the given horizon. The horizon must be one of Config.Horizons and enough
 // history must have been observed for training. Forecast never blocks on
-// maintenance: it reads the current model epoch and resolves each cluster's
-// member templates from the single catalog snapshot the prediction was
-// computed against, instead of one catalog lookup per member.
+// maintenance and copies no history: the clusters, their members and the
+// models are the current epoch's, and the model input is summed from the
+// live catalog — each member template's last day read at one instant under
+// its stripe's lock, members one after another. A forecast taken while
+// ingest runs therefore has no single catalog-wide instant (nor did the
+// stripe-by-stripe clone it replaces); quiesce ingest for one.
 func (f *Forecaster) Forecast(horizon time.Duration) ([]ClusterForecast, error) {
 	preds, err := f.ctl.Forecast(horizon)
 	if err != nil {
@@ -233,13 +237,12 @@ func (f *Forecaster) Forecast(horizon time.Duration) ([]ClusterForecast, error) 
 	for _, p := range preds {
 		cf := ClusterForecast{
 			ClusterID:       p.Cluster.ID,
+			Templates:       make([]string, 0, len(p.MemberIDs)),
 			PerTemplateRate: p.PerTemplateRate,
 			TotalRate:       p.TotalRate,
 		}
-		for _, id := range p.Cluster.MemberIDs() {
-			if t, ok := p.Cluster.Members[id]; ok {
-				cf.Templates = append(cf.Templates, t.SQL)
-			}
+		for _, id := range p.MemberIDs {
+			cf.Templates = append(cf.Templates, p.Cluster.Members[id].SQL)
 		}
 		out = append(out, cf)
 	}
@@ -299,23 +302,33 @@ type TemplateInfo struct {
 	SampleParams [][]string
 }
 
-// Templates lists the live templates ordered by ID. The returned infos are
-// defensive copies built from a cloned catalog snapshot; mutating them (or
-// their SampleParams) cannot affect the forecaster.
+// Templates lists the live templates ordered by ID. The infos are built
+// stripe by stripe under the catalog's locks from each template's metadata
+// and a copy of its parameter sample — no arrival history is read or copied
+// — so mutating them (or their SampleParams) cannot affect the forecaster.
 func (f *Forecaster) Templates() []TemplateInfo {
-	ts := f.ctl.Preprocessor().Templates()
-	out := make([]TemplateInfo, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, TemplateInfo{
-			ID:           t.ID,
-			SQL:          t.SQL,
-			Count:        t.Count,
-			FirstSeen:    t.FirstSeen,
-			LastSeen:     t.LastSeen,
-			SampleParams: t.Params.Sample(),
-		})
-	}
+	pre := f.ctl.Preprocessor()
+	out := make(templateInfos, 0, pre.Len())
+	pre.Each(out.add)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// templateInfos collects one TemplateInfo per template Preprocessor.Each
+// visits.
+type templateInfos []TemplateInfo
+
+func (ti *templateInfos) add(t *preprocess.Template) {
+	*ti = append(*ti, TemplateInfo{
+		ID:        t.ID,
+		SQL:       t.SQL,
+		Count:     t.Count,
+		FirstSeen: t.FirstSeen,
+		LastSeen:  t.LastSeen,
+		// The reservoir replaces whole vectors and never edits one, so a
+		// copy of the outer slice is the copy Template.Clone made.
+		SampleParams: append([][]string(nil), t.Params.Sample()...),
+	})
 }
 
 // Templatize converts a raw SQL string into its canonical template and
