@@ -208,8 +208,11 @@ func TestWindowContract(t *testing.T) {
 	}{{"live", live}, {"restored", restored}} {
 		for _, tm := range tc.p.Templates() {
 			// Non-zero contents show that Window adds rather than stores.
-			want := slices.Repeat([]float64{1.5}, bins)
-			got := slices.Clone(want)
+			want := make([]float64, bins)
+			for i := range want {
+				want[i] = 1.5
+			}
+			untouched, got := slices.Clone(want), slices.Clone(want)
 			tm.History.Window(want, from, step)
 			if !tc.p.Window(tm.ID, got, from, step) {
 				t.Fatalf("%s: Window(%d) = false for a catalogued template", tc.name, tm.ID)
@@ -217,7 +220,7 @@ func TestWindowContract(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: Window(%d) = %v, History.Window of its copy = %v", tc.name, tm.ID, got, want)
 			}
-			if slices.Equal(got, slices.Repeat([]float64{1.5}, bins)) {
+			if slices.Equal(got, untouched) {
 				t.Fatalf("%s: template %d has no arrivals in the window; the comparison is empty", tc.name, tm.ID)
 			}
 			// Nothing retained either way: later arrivals do not reach
