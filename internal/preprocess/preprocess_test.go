@@ -308,4 +308,15 @@ func TestParamSQLQuoting(t *testing.T) {
 	if q.SQL() != "42" {
 		t.Fatalf("SQL() = %q", q.SQL())
 	}
+	// A backslash is escaped too, so the rendered literal parses back to the
+	// value it came from — it used to swallow the byte after it.
+	for _, v := range []string{`a\b`, `tail\`, `\'`, "plain"} {
+		res, err := Templatize("SELECT a FROM t WHERE s = " + Param{Kind: "string", Value: v}.SQL())
+		if err != nil {
+			t.Fatalf("%q: rendered literal does not parse: %v", v, err)
+		}
+		if len(res.Params) != 1 || res.Params[0].Value != v {
+			t.Fatalf("%q came back as %+v", v, res.Params)
+		}
+	}
 }

@@ -145,7 +145,7 @@ func renderParams(params []Param) []string {
 // substituted back into a template's placeholders.
 func (p Param) SQL() string {
 	if p.Kind == "string" {
-		return "'" + strings.ReplaceAll(p.Value, "'", "''") + "'"
+		return sqlparse.QuoteString(p.Value)
 	}
 	return p.Value
 }

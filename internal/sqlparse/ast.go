@@ -67,12 +67,40 @@ type Literal struct {
 func (l *Literal) exprSQL(sb *strings.Builder) {
 	switch l.Kind {
 	case "string":
-		sb.WriteByte('\'')
-		sb.WriteString(strings.ReplaceAll(l.Text, "'", "''"))
-		sb.WriteByte('\'')
+		writeQuoted(sb, l.Text)
 	default:
 		sb.WriteString(l.Text)
 	}
+}
+
+// QuoteString renders s as the single-quoted string literal that lexes back
+// to exactly s. A body with nothing to escape — nearly all of them — costs
+// one scan and one concatenation.
+func QuoteString(s string) string {
+	if !strings.ContainsAny(s, `'\`) {
+		return "'" + s + "'"
+	}
+	var sb strings.Builder
+	writeQuoted(&sb, s)
+	return sb.String()
+}
+
+// writeQuoted writes s between single quotes. The lexer takes a doubled
+// quote for one quote and a backslash for an escape of the next byte, so
+// each of the two is written twice.
+func writeQuoted(sb *strings.Builder, s string) {
+	sb.WriteByte('\'')
+	for {
+		i := strings.IndexAny(s, `'\`)
+		if i < 0 {
+			break
+		}
+		sb.WriteString(s[:i+1])
+		sb.WriteByte(s[i])
+		s = s[i+1:]
+	}
+	sb.WriteString(s)
+	sb.WriteByte('\'')
 }
 
 // Placeholder is a parameter marker: either one present in the original text
@@ -115,11 +143,43 @@ func (b *BinaryExpr) exprSQL(sb *strings.Builder) {
 		sb.WriteByte(')')
 		return
 	}
-	b.Left.exprSQL(sb)
+	writeOperand(sb, b.Left)
 	sb.WriteByte(' ')
 	sb.WriteString(b.Op)
 	sb.WriteByte(' ')
-	b.Right.exprSQL(sb)
+	writeOperand(sb, b.Right)
+}
+
+// writeOperand renders e as an operand of a comparison, an arithmetic
+// operator or an IN / BETWEEN / IS predicate. The grammar does not chain
+// predicates, so one in operand position was parenthesized in the source;
+// the parser keeps no node for those parentheses (only arithmetic groups get
+// a ParenExpr), so they are written back here — "(0 > 0) = 0" must not
+// render as "0 > 0 = 0", which does not parse.
+func writeOperand(sb *strings.Builder, e Expr) {
+	if !isPredicate(e) {
+		e.exprSQL(sb)
+		return
+	}
+	sb.WriteByte('(')
+	e.exprSQL(sb)
+	sb.WriteByte(')')
+}
+
+// isPredicate reports whether e is a comparison, LIKE, NOT, IN, BETWEEN or
+// IS NULL. AND and OR are left out: they render their own parentheses.
+func isPredicate(e Expr) bool {
+	switch e := e.(type) {
+	case *BinaryExpr:
+		switch e.Op {
+		case "+", "-", "*", "/", "%", "AND", "OR":
+			return false
+		}
+		return true
+	case *NotExpr, *InExpr, *BetweenExpr, *IsNullExpr:
+		return true
+	}
+	return false
 }
 
 // NotExpr negates an expression.
@@ -139,7 +199,7 @@ type InExpr struct {
 }
 
 func (e *InExpr) exprSQL(sb *strings.Builder) {
-	e.Left.exprSQL(sb)
+	writeOperand(sb, e.Left)
 	if e.Negated {
 		sb.WriteString(" NOT")
 	}
@@ -160,14 +220,14 @@ type BetweenExpr struct {
 }
 
 func (e *BetweenExpr) exprSQL(sb *strings.Builder) {
-	e.Left.exprSQL(sb)
+	writeOperand(sb, e.Left)
 	if e.Negated {
 		sb.WriteString(" NOT")
 	}
 	sb.WriteString(" BETWEEN ")
-	e.Lo.exprSQL(sb)
+	writeOperand(sb, e.Lo)
 	sb.WriteString(" AND ")
-	e.Hi.exprSQL(sb)
+	writeOperand(sb, e.Hi)
 }
 
 // IsNullExpr is `expr IS [NOT] NULL`.
@@ -177,7 +237,7 @@ type IsNullExpr struct {
 }
 
 func (e *IsNullExpr) exprSQL(sb *strings.Builder) {
-	e.Left.exprSQL(sb)
+	writeOperand(sb, e.Left)
 	if e.Negated {
 		sb.WriteString(" IS NOT NULL")
 	} else {

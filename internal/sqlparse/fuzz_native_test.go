@@ -51,6 +51,11 @@ var fuzzSeeds = []string{
 	"INSERT INTO points (x, y) VALUES (1, 2), (3, 4), (5, 6)",
 	"UPDATE notes SET body = 'it''s done\\now' WHERE id = 9",
 	"SELECT a, b FROM t",
+	// Literal-only shapes whose rendering once failed to re-parse: a
+	// doubled negation ("--0" opens a comment) and a backslash in a string
+	// body (unescaped, it swallowed the byte after it).
+	"SELECT - -0",
+	"SELECT 'a\\\\b'",
 }
 
 // FuzzParse drives the parser with arbitrary byte strings and checks the

@@ -463,6 +463,11 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// NOT renders its own parentheses; keeping an arithmetic group's
+		// too would add a pair on every re-parse.
+		if group, ok := inner.(*ParenExpr); ok {
+			inner = group.Inner
+		}
 		return &NotExpr{Inner: inner}, nil
 	}
 	return p.parsePredicate()
@@ -626,6 +631,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return nil, err
 			}
 			if lit, ok := inner.(*Literal); ok && lit.Kind == "number" && t.Text == "-" {
+				// Negating a negative literal drops its sign: "--0" would
+				// render as the start of a line comment.
+				if rest, neg := strings.CutPrefix(lit.Text, "-"); neg {
+					return &Literal{Kind: "number", Text: rest}, nil
+				}
 				return &Literal{Kind: "number", Text: "-" + lit.Text}, nil
 			}
 			if t.Text == "-" {

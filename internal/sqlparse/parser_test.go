@@ -120,6 +120,30 @@ var roundTrips = []struct{ in, want string }{
 		"select \"Users\".`Name`, `My Col` x, \"*\" from `0` \"select\" where `a\"b`(\"1\") = ''",
 		"SELECT users.name, `my col` AS x, \"*\" FROM `0` AS \"select\" WHERE `A\"B`(\"1\") = ''",
 	},
+	{
+		// Negating a negative literal: "--0" would open a line comment.
+		"SELECT - -0, -(-7), - + - 2.5 FROM t",
+		"SELECT 0, 7, 2.5 FROM t",
+	},
+	{
+		// A backslash in a string body is written back escaped; bare, it
+		// would swallow the byte after it ('a\b' → 'ab') or the closing
+		// quote.
+		`SELECT 'a\\b', 'it\'s', 'tail\\' FROM t`,
+		`SELECT 'a\\b', 'it''s', 'tail\\' FROM t`,
+	},
+	{
+		// NOT brings its own parentheses; an arithmetic group under it must
+		// not keep a second pair, or each re-parse would add one.
+		"SELECT a FROM t WHERE NOT (n % 2)",
+		"SELECT a FROM t WHERE NOT (n % 2)",
+	},
+	{
+		// A predicate used as an operand keeps the parentheses it was
+		// written with: predicates do not chain, so "0 > 0 = 0" is an error.
+		"SELECT (0>0)=0, (a = 1) + 2 FROM t WHERE (x IS NULL) IN (TRUE) AND (NOT y) BETWEEN (a < b) AND 1",
+		"SELECT (0 > 0) = 0, (a = 1) + 2 FROM t WHERE ((x IS NULL) IN (TRUE) AND (NOT (y)) BETWEEN (a < b) AND 1)",
+	},
 }
 
 func TestParseRoundTrip(t *testing.T) {
