@@ -447,23 +447,6 @@ func TestForecastMatchesReference(t *testing.T) {
 	// summed descending they do not.
 	ingest := func(t *testing.T, ctl *Controller, from time.Time, d time.Duration, skip string) {
 		t.Helper()
-		defer func() {
-			ep := ctl.cur.Load()
-			at := from.Add(d - 2*time.Hour)
-			for j, cl := range ep.tracked {
-				ids := ep.memberIDs[j]
-				if len(ids) < 3 {
-					continue
-				}
-				for id, v := range map[int64]float64{ids[0]: 1 << 53, ids[len(ids)-1]: -(1 << 53)} {
-					live, err := ctl.Preprocessor().Process(cl.Members[id].SQL, at)
-					if err != nil || live.ID != id {
-						t.Fatalf("member %d did not fold back into itself: %v, %v", id, live, err)
-					}
-					live.History.Record(at, v)
-				}
-			}
-		}()
 		err := w.Replay(from, from.Add(d), 10*time.Minute, func(ev workload.Event) error {
 			if skip != "" {
 				res, err := preprocess.Templatize(ev.SQL)
@@ -478,6 +461,21 @@ func TestForecastMatchesReference(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		ep := ctl.cur.Load()
+		at := from.Add(d - 2*time.Hour)
+		for j, cl := range ep.tracked {
+			ids := ep.memberIDs[j]
+			if len(ids) < 3 {
+				continue
+			}
+			for id, v := range map[int64]float64{ids[0]: 1 << 53, ids[len(ids)-1]: -(1 << 53)} {
+				live, err := ctl.Preprocessor().Process(cl.Members[id].SQL, at)
+				if err != nil || live.ID != id {
+					t.Fatalf("member %d did not fold back into itself: %v, %v", id, live, err)
+				}
+				live.History.Record(at, v)
+			}
 		}
 	}
 	check := func(t *testing.T, ctl *Controller) {
