@@ -19,11 +19,11 @@ test-short:
 # snapshot byte-identical and loadable), the corruption tables of the frame
 # (TestLoadRejectsCorruptSnapshots), of the body behind its CRC
 # (TestRestoreSnapshotErrors) and of one history (TestDecodeHistoryErrors),
-# the v2 refusal, and the restored-twin contract.
+# the v2/v3 refusal, the v4 format golden, and the restored-twin contract.
 # -count=1 defeats the test cache: fault schedules are process-global state.
 test-faults:
 	$(GO) test -count=1 ./internal/failpoint/ ./internal/fsx/
-	$(GO) test -count=1 -run 'TestCrashMatrixSaveUnderIngest|TestSaveFileLoadFileRoundTrip|TestLoadRejectsCorruptSnapshots|TestLoadRefusesV2Snapshot|TestRestoredTwinMatchesUnrestarted' .
+	$(GO) test -count=1 -run 'TestCrashMatrixSaveUnderIngest|TestSaveFileLoadFileRoundTrip|TestLoadRejectsCorruptSnapshots|TestLoadRefusesOldSnapshots|TestSnapshotFormatGolden|TestRestoredTwinMatchesUnrestarted' .
 	$(GO) test -count=1 -run 'TestRestoreSnapshotErrors|TestSnapshotRoundTrip|TestDecodeHistoryErrors|TestHistoryBinaryRoundTrip' ./internal/preprocess/ ./internal/timeseries/
 
 cover:
@@ -71,9 +71,12 @@ size:
 
 # Coverage-guided fuzz smokes (mirror CI): 20 s of correctly framed arbitrary
 # snapshot bodies against the decoder behind the CRC (an accepted body runs a
-# whole Maintain, hence the minimize cap), then 30 s of the SQL parser.
+# whole Maintain, hence the minimize cap), 20 s of one history's token stream
+# (an accepted history must re-encode to its own bytes), then 30 s of the SQL
+# parser.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotBody -fuzztime 20s -fuzzminimizetime 2s .
+	$(GO) test ./internal/timeseries/ -run '^$$' -fuzz FuzzDecodeHistory -fuzztime 20s
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParse -fuzztime 30s
 
 # Full local equivalent of the CI pipeline: lint, build, test, race, and a

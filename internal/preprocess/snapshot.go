@@ -23,10 +23,12 @@ import (
 // fingerprint cache) is rebuilt after a restore. A snapshot is one frame,
 // and this file is the only code that knows it (DESIGN.md §8):
 //
-//	[8]  magic "QB5KSNP3", the format's one version marker
+//	[8]  magic "QB5KSNP4", the format's one version marker
 //	[8]  big-endian uint64 body length
 //	[…]  body: a gob snapshotHeader, then one timeseries history per
-//	     header template, in header order (History.AppendBinary)
+//	     header template, in header order (History.AppendBinary: per tier
+//	     a start and a bin count, then the bins as zero runs, varint
+//	     counts and escaped IEEE-754 values)
 //	[4]  big-endian CRC32-IEEE of the body
 //
 // Snapshots are canonical and layout-independent: templates are written in
@@ -41,7 +43,7 @@ import (
 
 // snapshotMagic identifies the frame. Files in any earlier format fail the
 // magic check and must be regenerated; no reader for them is kept.
-const snapshotMagic = "QB5KSNP3"
+const snapshotMagic = "QB5KSNP4"
 
 // maxSnapshotBody bounds the declared body length so a corrupted length
 // field cannot drive an absurd read. 1 TiB is orders of magnitude beyond

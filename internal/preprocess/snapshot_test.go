@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -143,12 +144,32 @@ func TestRestoreSnapshotErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	// Each history here is two 16-byte tier headers around one fine bin.
-	const histLen, fineCount, fineBin = 40, 8, 16
+	// Each history here is two 16-byte tier headers around one count token
+	// (5 arrivals: the byte 2·5+1).
+	const histLen, fineCount, fineToken = 33, 8, 16
+	reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte {
+		if len(bins) != 3*histLen || bins[fineToken] != 11 {
+			t.Fatalf("fixture moved: %d bytes of bins, token %#x", len(bins), bins[fineToken])
+		}
+		return bins
+	})
+	// The encoder writes no NaN, infinity or negative bin, so setBin swaps
+	// template 2's history for one holding a fraction, which goes out as an
+	// escape, and patches the escape's 8 bytes.
 	setBin := func(v float64) func(*snapshotHeader, []byte) []byte {
 		return func(_ *snapshotHeader, bins []byte) []byte {
-			binary.LittleEndian.PutUint64(bins[histLen+fineBin:], math.Float64bits(v))
-			return bins
+			h := timeseries.NewHistory(base)
+			h.Record(base, 0.5)
+			esc := h.AppendBinary(nil)
+			binary.LittleEndian.PutUint64(esc[fineToken+1:], math.Float64bits(v))
+			return slices.Concat(bins[:histLen], esc, bins[2*histLen:])
+		}
+	}
+	// setToken replaces one history's count token.
+	setToken := func(hist int, token ...byte) func(*snapshotHeader, []byte) []byte {
+		return func(_ *snapshotHeader, bins []byte) []byte {
+			at := hist*histLen + fineToken
+			return slices.Concat(bins[:at], token, bins[at+1:])
 		}
 	}
 	cases := []struct {
@@ -173,6 +194,8 @@ func TestRestoreSnapshotErrors(t *testing.T) {
 		{"NaN bin", reframe(t, good, setBin(math.NaN())), "template 2: timeseries: bin 0 is NaN"},
 		{"infinite bin", reframe(t, good, setBin(math.Inf(1))), "template 2: timeseries: bin 0 is +Inf"},
 		{"negative bin", reframe(t, good, setBin(-5)), "template 2: timeseries: bin 0 is -5"},
+		{"run past the tier's end", reframe(t, good, setToken(0, 0x02)), "template 1: timeseries: bin 0: a run of 2 zeros overruns the tier's 1 bins"},
+		{"non-canonical count token", reframe(t, good, setToken(2, 0x8b, 0x00)), "template 3: timeseries: bin 0: non-canonical count token"},
 		{"tier start off its boundary", reframe(t, good, func(_ *snapshotHeader, bins []byte) []byte {
 			binary.LittleEndian.PutUint64(bins, uint64(base.Unix()+7))
 			return bins

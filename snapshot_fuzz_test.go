@@ -6,10 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"qb5000/internal/preprocess"
 )
 
 // snapshotConfig is the fixed shape used by the snapshot robustness tests;
@@ -160,19 +163,79 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// TestLoadRefusesV2Snapshot: testdata/v2.snap was written by the last commit
-// that spoke the QB5KSNP2 envelope (gob body, nested MarshalBinary
-// histories). No reader for it is kept; Load must say so rather than misread
-// it.
-func TestLoadRefusesV2Snapshot(t *testing.T) {
-	_, err := LoadFile(snapshotConfig(), filepath.Join("testdata", "v2.snap"))
-	if err == nil {
-		t.Fatal("Load accepted a v2 snapshot")
+// TestLoadRefusesOldSnapshots: each file was written by the last commit that
+// spoke its format — testdata/v2.snap the QB5KSNP2 envelope (gob body, nested
+// MarshalBinary histories), testdata/v3.snap the QB5KSNP3 frame with raw
+// IEEE-754 bins. No reader for either is kept; Load must say so rather than
+// misread them.
+func TestLoadRefusesOldSnapshots(t *testing.T) {
+	for _, v := range []string{"2", "3"} {
+		t.Run("v"+v, func(t *testing.T) {
+			_, err := LoadFile(snapshotConfig(), filepath.Join("testdata", "v"+v+".snap"))
+			if err == nil {
+				t.Fatalf("Load accepted a v%s snapshot", v)
+			}
+			for _, want := range []string{"bad magic", `"QB5KSNP` + v + `"`, "must be regenerated"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not mention %s", err, want)
+				}
+			}
+		})
 	}
-	for _, want := range []string{"magic", `"QB5KSNP2"`, "regenerated"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %s", err, want)
+}
+
+// goldenSnapshot is the fixed catalog behind testdata/v4.snap: one template
+// whose history crossed a compaction, so both tiers are in the file, and one
+// whose history holds a fractional bin, so an escape is too.
+func goldenSnapshot(t *testing.T) []byte {
+	t.Helper()
+	f := New(Config{Model: "LR", Horizons: []time.Duration{time.Hour}, Seed: 5, Shards: 1})
+	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	for d := 0; d < 40; d++ {
+		if err := f.ObserveBatch("SELECT a FROM t WHERE x = 1", base.Add(time.Duration(d)*24*time.Hour+time.Duration(d)*time.Minute), int64(1+d)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := f.ObserveBatch("UPDATE t SET a = 7 WHERE id = 3", base.Add(39*24*time.Hour), 3); err != nil {
+		t.Fatal(err)
+	}
+	pre := f.Controller().Preprocessor()
+	pre.Maintain(base.Add(40 * 24 * time.Hour))
+	pre.Each(func(tm *preprocess.Template) {
+		if strings.HasPrefix(tm.SQL, "UPDATE") {
+			tm.History.Record(base.Add(39*24*time.Hour+time.Minute), 0.25)
+		}
+	})
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotFormatGolden pins the bytes of the current format: a fixed
+// catalog must save to exactly testdata/v4.snap, which must load and save
+// back to itself. A change that moves these bytes changes the format: it
+// bumps snapshotMagic, adds v4.snap to TestLoadRefusesOldSnapshots and pins
+// its own golden, rather than rewriting this one.
+func TestSnapshotFormatGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "v4.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenSnapshot(t); !bytes.Equal(got, want) {
+		t.Fatalf("the golden catalog saves to %d bytes that differ from testdata/v4.snap (%d bytes): the snapshot format changed", len(got), len(want))
+	}
+	f, err := Load(snapshotConfig(), bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := f.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("testdata/v4.snap does not load and save back to itself")
 	}
 }
 
@@ -257,7 +320,7 @@ func TestRestoredTwinMatchesUnrestarted(t *testing.T) {
 
 // frameSnapshot wraps body in a frame with a correct magic, length and CRC.
 func frameSnapshot(body []byte) []byte {
-	out := binary.BigEndian.AppendUint64([]byte("QB5KSNP3"), uint64(len(body)))
+	out := binary.BigEndian.AppendUint64([]byte("QB5KSNP4"), uint64(len(body)))
 	out = append(out, body...)
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 }
@@ -266,9 +329,10 @@ func frameSnapshot(body []byte) []byte {
 // mutations die at the CRC, so here the fuzzer's bytes are framed correctly
 // and handed to Load as the body a crafted or version-skewed writer might
 // have produced. Load must not panic, must not allocate beyond a fixed
-// multiple of the input (plus the 10 MB chunks encoding/gob allows itself
-// per declared slice, whatever the input), and what it accepts must be a
-// forecaster that maintains and forecasts.
+// multiple of the input — a history byte may stand for up to 64 bins of 8
+// bytes each, so 512 × for the bins plus 64 × for the rest — (plus the 10 MB
+// chunks encoding/gob allows itself per declared slice, whatever the input),
+// and what it accepts must be a forecaster that maintains and forecasts.
 func FuzzSnapshotBody(f *testing.F) {
 	body := func(snap []byte) []byte { return snap[16 : len(snap)-4] }
 	real := body(snapshotBytes(f))
@@ -296,9 +360,14 @@ func FuzzSnapshotBody(f *testing.F) {
 
 	// Hand-broken counts: the one history's fine-tier bin count (8 bytes
 	// into the bins, which are the tail of the body) set one too high, past
-	// the bytes present, to the int64 sign bit, and to zero.
-	const fineBins = 200 // snapshotBytes observes 200 consecutive minutes
-	countAt := len(real) - (32 + 8*fineBins) + 8
+	// what the bytes present can hold, to the int64 sign bit, and to zero.
+	// snapshotBytes observes 200 consecutive minutes of 1–4 arrivals: 200
+	// one-byte count tokens and an empty coarse tier.
+	const fineBins = 200
+	countAt := len(real) - (32 + fineBins) + 8
+	if n := binary.LittleEndian.Uint64(real[countAt:]); n != fineBins {
+		f.Fatalf("fine bin count at body offset %d reads %d, want %d", countAt, n, fineBins)
+	}
 	for _, n := range []uint64{fineBins + 1, 1 << 20, 1 << 63, 0} {
 		broken := bytes.Clone(real)
 		binary.LittleEndian.PutUint64(broken[countAt:], n)
@@ -313,7 +382,7 @@ func FuzzSnapshotBody(f *testing.F) {
 		var fc *Forecaster
 		var err error
 		got := totalAlloc(func() { fc, err = Load(cfg, bytes.NewReader(framed)) })
-		if limit := float64(64<<20 + 64*len(b)); got > limit {
+		if limit := float64(64<<20 + (512+64)*len(b)); got > limit {
 			t.Fatalf("Load allocated %.0f bytes for a %d-byte body (limit %.0f)", got, len(b), limit)
 		}
 		if err != nil {
