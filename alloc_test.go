@@ -91,11 +91,9 @@ func TestObserveMissPathAllocs(t *testing.T) {
 // TestSaveLoadAllocs bounds the bytes a snapshot round trip allocates on the
 // 1,000-member benchmark catalog, as multiples of the bins themselves
 // (Preprocessor.HistoryBytes, ~92 MB). Save holds one encoded copy of the
-// bins — zero runs and varint counts, a few bytes an hour of hourly arrivals
-// (0.09 ×) — plus the small gob header; Load holds the verified frame body,
-// about as small, plus the decoded bins (1.0 ×), 1.25 × in all. Raw IEEE-754
-// bins measured 1.14 × and 2.66 ×, and the envelope → gob DTO → nested
-// MarshalBinary stack before them 13.1 × and 12.8 ×.
+// bins — zero runs and varint counts, two bytes an hour of hourly arrivals
+// (0.08 ×) — plus the small gob header; Load holds the verified frame body,
+// about as small, plus the decoded bins (1.0 ×), 1.25 × in all.
 func TestSaveLoadAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("primes 1,000 templates × 8 days and runs a maintenance pass")

@@ -106,4 +106,3 @@ func TestLogExpRoundTrip(t *testing.T) {
 		t.Fatal("negative output should clamp")
 	}
 }
-
