@@ -69,14 +69,17 @@ size:
 	@printf 'timeseries+cluster+core+experiments code lines: '; ls internal/timeseries/*.go internal/cluster/*.go internal/core/*.go internal/experiments/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 	@printf 'persistence (preprocess/snapshot.go + timeseries/marshal.go) code lines: '; cat internal/preprocess/snapshot.go internal/timeseries/marshal.go | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
-# Coverage-guided fuzz smokes (mirror CI): 20 s of correctly framed arbitrary
-# snapshot bodies against the decoder behind the CRC (an accepted body runs a
-# whole Maintain, hence the minimize cap), 20 s of one history's token stream
-# (an accepted history must re-encode to its own bytes), then 30 s of the SQL
-# parser.
+# Coverage-guided fuzz smokes (mirror the fuzz steps of the CI `faults` job,
+# plus the SQL parser): 20 s of the snapshot frame, 20 s of correctly framed
+# arbitrary snapshot bodies against the decoder behind the CRC (an accepted
+# body runs a whole Maintain, hence the minimize cap), 20 s of one history's
+# token stream (an accepted history must re-encode to its own bytes), 20 s of
+# the trace reader, then 30 s of the SQL parser, which CI does not run.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotBody -fuzztime 20s -fuzzminimizetime 2s .
 	$(GO) test ./internal/timeseries/ -run '^$$' -fuzz FuzzDecodeHistory -fuzztime 20s
+	$(GO) test ./internal/tracefile/ -run '^$$' -fuzz FuzzTraceRead -fuzztime 20s
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParse -fuzztime 30s
 
 # Full local equivalent of the CI pipeline: lint, build, test, race, and a

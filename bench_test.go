@@ -382,40 +382,68 @@ var forecastBenchConfig = core.Config{
 	FingerprintCacheSize: 2000,
 }
 
-// forecastBenchState builds, once per process, a controller whose current
-// epoch tracks 1,000 member templates, each primed with 8 days of hourly
-// arrivals in one of four phase-shifted diurnal shapes.
-var forecastBenchState = sync.OnceValues(func() (*core.Controller, error) {
-	const members, days = 1000, 8
-	ctl := core.New(forecastBenchConfig)
-	queries := make([]string, members)
+// The benchmark catalog: benchMembers templates primed with benchDays of
+// hourly arrivals from benchStart on.
+const benchMembers, benchDays = 1000, 8
+
+var benchStart = time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// primeBenchCatalog ingests the benchmark catalog into ctl: each member gets
+// 8 days of hourly arrivals in one of four phase-shifted diurnal shapes.
+func primeBenchCatalog(ctl *core.Controller) error {
+	queries := make([]string, benchMembers)
 	for i := range queries {
 		queries[i] = fmt.Sprintf("SELECT a, b FROM t%d WHERE x = 1 AND y = 2", i)
 	}
-	start := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
-	for h := 0; h < days*24; h++ {
-		at := start.Add(time.Duration(h) * time.Hour)
+	for h := 0; h < benchDays*24; h++ {
+		at := benchStart.Add(time.Duration(h) * time.Hour)
 		for i, q := range queries {
 			phase := 2 * math.Pi * float64(h+6*(i%4)) / 24
 			if err := ctl.Ingest(q, at, int64(20+i%7+int(15*math.Sin(phase)))); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	if err := ctl.Refresh(context.Background(), start.Add(days*24*time.Hour)); err != nil {
+	return nil
+}
+
+// forecastBenchState builds, once per process, a controller whose current
+// epoch tracks the primed benchmark catalog's 1,000 member templates.
+var forecastBenchState = sync.OnceValues(func() (*core.Controller, error) {
+	ctl := core.New(forecastBenchConfig)
+	if err := primeBenchCatalog(ctl); err != nil {
+		return nil, err
+	}
+	if err := ctl.Refresh(context.Background(), benchStart.Add(benchDays*24*time.Hour)); err != nil {
 		return nil, err
 	}
 	tracked := 0
 	for _, cl := range ctl.Tracked() {
 		tracked += len(cl.Members)
 	}
-	if tracked != members {
-		return nil, fmt.Errorf("epoch tracks %d members, want %d", tracked, members)
+	if tracked != benchMembers {
+		return nil, fmt.Errorf("epoch tracks %d members, want %d", tracked, benchMembers)
 	}
 	return ctl, nil
 })
 
 var forecastSink []core.ClusterForecast
+
+// BenchmarkPrime measures building the benchmark catalog: 1,000 templates ×
+// 8 days of hourly arrivals through Controller.Ingest, no maintenance pass.
+// Each arrival past a template's last minute bin grows its fine tier, so this
+// is the cost of history growth at catalog scale.
+func BenchmarkPrime(b *testing.B) {
+	if testing.Short() {
+		b.Skip("primes 1,000 templates × 8 days")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := primeBenchCatalog(core.New(forecastBenchConfig)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkForecast measures Controller.Forecast at catalog-wide scale
 // (1,000 tracked members × 8 days of history), the one read path nothing

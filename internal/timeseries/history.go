@@ -56,11 +56,10 @@ func (h *History) Compact(now time.Time) int {
 			h.coarse.Add(h.fine.TimeOf(i), v)
 		}
 	}
-	h.fine = &Series{
-		Start:    h.fine.TimeOf(n),
-		Interval: h.fine.Interval,
-		Data:     append([]float64(nil), h.fine.Data[n:]...),
-	}
+	// Shift the fine tier down in place: it keeps its capacity, so the next
+	// minute does not reallocate, and Add zeroes the stale tail it exposes.
+	h.fine.Start = h.fine.TimeOf(n)
+	h.fine.Data = h.fine.Data[:copy(h.fine.Data, h.fine.Data[n:])]
 	return n
 }
 
@@ -155,7 +154,8 @@ func (h *History) Clone() *History {
 }
 
 // Bytes estimates the storage footprint of the history in bytes
-// (8 bytes per bin), used by the Table 4 overhead accounting.
+// (8 bytes per bin), used by the Table 4 overhead accounting. It counts the
+// bins the history holds, not the spare capacity Add grows a tier into.
 func (h *History) Bytes() int {
 	return 8 * (len(h.fine.Data) + len(h.coarse.Data))
 }

@@ -46,15 +46,26 @@ func (s *Series) TimeOf(i int) time.Time {
 
 // Add records count arrivals at time t, growing the series as needed.
 // Arrivals earlier than Start are folded into the first bin.
+//
+// A series of n bins that outgrows its capacity reallocates once, to
+// max(i+1, n+max(n/8, one day of bins)): a live stream pays for a new bin in
+// amortised constant time, and a far-off jump allocates exactly i+1 bins.
+// Bins are zeroed when a reslice exposes them, so spare capacity may hold
+// anything.
 func (s *Series) Add(t time.Time, count float64) {
 	i := s.indexOf(t)
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(s.Data) {
-		grown := make([]float64, i+1)
-		copy(grown, s.Data)
-		s.Data = grown
+	if n := len(s.Data); i >= n {
+		if i >= cap(s.Data) {
+			day := int(24 * time.Hour / s.Interval)
+			grown := make([]float64, n, max(i+1, n+max(n/8, day)))
+			copy(grown, s.Data)
+			s.Data = grown
+		}
+		s.Data = s.Data[:i+1]
+		clear(s.Data[n:])
 	}
 	s.Data[i] += count
 }
