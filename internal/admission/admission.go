@@ -8,9 +8,10 @@
 //
 // TryAcquire/Release form the zero-alloc fast path (qb5000:noalloc, gated
 // by the noalloc analyzer); Acquire is the ctx-bounded slow path for
-// callers that prefer brief queueing over shedding. The shedflow analyzer
-// pins the calling convention: the returned error must propagate to a 429
-// and every successful acquire needs a Release on all paths.
+// callers that prefer brief queueing over shedding. The calling convention
+// — the returned error must propagate to a 429, and every successful
+// acquire needs a Release on all paths — is held by the server's
+// TestAdmissionSaturation and TestForecastAdmission.
 package admission
 
 import (
@@ -21,8 +22,8 @@ import (
 )
 
 // ErrOverload is the typed overload signal an admission check produces.
-// HTTP handlers must map it to 429 Too Many Requests (the shedflow
-// analyzer enforces this); errors from Acquire additionally unwrap to the
+// HTTP handlers must map it to 429 Too Many Requests (the server's
+// admission tests require it); errors from Acquire additionally unwrap to the
 // context error when the caller's deadline expired while queued.
 var ErrOverload = &overloadError{}
 
@@ -131,8 +132,7 @@ func New(o Options) *Gate {
 
 // TryAcquire admits n units of work (n <= 0 counts as 1) without blocking,
 // or sheds the call with ErrOverload. Every nil return must be paired with
-// a Release of the same weight on all paths (the shedflow analyzer checks
-// this at call sites).
+// a Release of the same weight on all paths.
 //
 // qb5000:noalloc
 func (g *Gate) TryAcquire(n int64) error {

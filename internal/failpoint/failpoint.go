@@ -8,9 +8,12 @@
 //
 //   - Registration: every site name is declared exactly once, at package
 //     init, via `var _ = failpoint.Register("pkg.site")`. Register panics on
-//     a duplicate so a copy-pasted name fails at startup, and the faultpath
-//     analyzer statically cross-checks that every Inject site names a
-//     registered failpoint and every registered failpoint is injectable.
+//     a duplicate so a copy-pasted name fails at startup. The fsx tests
+//     hold the rest: TestRegistryMatchesSiteConstants pins the registry to
+//     the site constants, TestEveryFailpointAbortsCleanly arms every
+//     registered site and requires its fault to surface, and the crash
+//     matrix (TestCrashMatrixSaveUnderIngest) fails on a registered site
+//     that no Inject reaches.
 //   - Injection: `if err := failpoint.Inject("pkg.site"); err != nil {
 //     return err }` immediately BEFORE the operation the site models. When
 //     the site is disarmed this is a single atomic load — the fast path is
@@ -125,8 +128,10 @@ func Register(name string) string {
 
 // Inject evaluates the named site's schedule and returns the fault to
 // propagate, or nil. Call it immediately before the operation the site
-// models; the caller must return a non-nil result, which the faultpath
-// analyzer verifies. Disarmed, this is a single atomic load.
+// models; the caller must return a non-nil result, which
+// TestEveryFailpointAbortsCleanly and the crash matrix verify for every
+// registered site, and errflow rejects a result discarded or assigned to _.
+// Disarmed, this is a single atomic load.
 //
 // qb5000:noalloc
 func Inject(name string) error {

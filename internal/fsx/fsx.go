@@ -12,7 +12,7 @@
 // written file on all paths.
 //
 // Every step carries a named failpoint (FPCreate … FPRename), registered
-// here as the central registry the faultpath analyzer cross-checks. Each
+// here as the central registry TestRegistryMatchesSiteConstants checks. Each
 // site fires immediately BEFORE its operation, so an injected fault at any
 // registered seam aborts the sequence with the destination untouched — the
 // invariant the crash-matrix test asserts per site.

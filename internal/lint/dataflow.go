@@ -3,8 +3,8 @@ package lint
 // This file is the intraprocedural dataflow layer the semantic analyzers
 // build on: the function-body walker, a per-function control-flow graph
 // over go/ast, a generic forward worklist solver, the one set lattice its
-// clients share, and reaching definitions. The two engines configured on
-// top of it live in mustuse.go and obligation.go. It is deliberately
+// clients share, and reaching definitions. The obligation engine configured
+// on top of it lives in obligation.go. It is deliberately
 // stdlib-only — no golang.org/x/tools — matching the loader's
 // zero-dependency contract.
 //

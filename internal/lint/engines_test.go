@@ -10,11 +10,12 @@ import (
 	"testing"
 )
 
-// The engine tests drive every configuration of the must-use and obligation
-// engines over a minimal in-memory body, so an engine regression is
-// localised without the golden fixtures. Imports resolve against the stub
-// packages below: just enough of os, sync, failpoint and admission for the
-// configurations' predicates (which match on package path and type name).
+// The engine tests drive errflow's disposal classification and every
+// configuration of the obligation engine over a minimal in-memory body, so
+// an engine regression is localised without the golden fixtures. Imports
+// resolve against the stub packages below: just enough of os and sync for
+// the configurations' predicates (which match on package path and type
+// name).
 var stubSources = map[string]string{
 	"os": `package os
 type File struct{}
@@ -28,15 +29,6 @@ func Rename(a, b string) error     { return nil }
 type Mutex struct{}
 func (*Mutex) Lock()   {}
 func (*Mutex) Unlock() {}
-`,
-	failpointPkgPath: `package failpoint
-func Register(s string) string { return s }
-func Inject(string) error      { return nil }
-`,
-	admissionPkgPath: `package admission
-type Gate struct{}
-func (*Gate) TryAcquire(int) error { return nil }
-func (*Gate) Release(int)          {}
 `,
 }
 
@@ -109,26 +101,6 @@ func runEngineCases(t *testing.T, a *Analyzer, preamble, params string, cases []
 }
 
 func TestMustUseEngine(t *testing.T) {
-	runEngineCases(t, FaultPath,
-		`package p
-import "qb5000/internal/failpoint"
-var _ = failpoint.Register("s")`, "",
-		[]engineCase{
-			{"discard", `failpoint.Inject("s"); return nil`, "failpoint.Inject result discarded"},
-			{"blank", `_ = failpoint.Inject("s"); return nil`, "failpoint.Inject result assigned to _"},
-			{"dead-store", `err := failpoint.Inject("s"); err = nil; return err`, "the error from failpoint.Inject is never read after this assignment"},
-			{"used", `err := failpoint.Inject("s"); return err`, ""},
-			{"returned", `return failpoint.Inject("s")`, ""},
-		})
-	runEngineCases(t, ShedFlow,
-		`package p
-import "qb5000/internal/admission"`, "g *admission.Gate",
-		[]engineCase{
-			{"discard", `g.TryAcquire(1); g.Release(1); return nil`, "admission TryAcquire result discarded"},
-			{"blank", `_ = g.TryAcquire(1); g.Release(1); return nil`, "admission TryAcquire result assigned to _"},
-			{"dead-store", `err := g.TryAcquire(1); defer g.Release(1); err = nil; return err`, "the error from admission TryAcquire is never read after this assignment"},
-			{"used", `err := g.TryAcquire(1); defer g.Release(1); return err`, ""},
-		})
 	runEngineCases(t, ErrFlow,
 		`package p
 func work() error { return nil }
@@ -142,6 +114,7 @@ func pair() (int, error) { return 0, nil }`, "",
 			{"partial-blank", `v, _ := pair(); _ = v; return nil`, ""},
 			{"dead-store tolerated", `err := work(); err = nil; return err`, ""},
 			{"used", `err := work(); return err`, ""},
+			{"returned", `return work()`, ""},
 		})
 }
 
@@ -155,15 +128,6 @@ import "os"`, "",
 			{"discharged", `h, err := os.Open("x"); if err != nil { return err }; defer h.Close(); return nil`, ""},
 			{"cleared by error return", `h, err := os.Open("x"); h.Sync(); return err`, ""},
 			{"exit call", `h, _ := os.Open("x"); h.Sync(); panic("fatal")`, ""},
-		})
-	runEngineCases(t, ShedFlow,
-		`package p
-import "qb5000/internal/admission"`, "g *admission.Gate",
-		[]engineCase{
-			{"leak", `if err := g.TryAcquire(1); err != nil { return err }; return nil`, "admission permit on g acquired here is not released on every path"},
-			{"discharged", `if err := g.TryAcquire(1); err != nil { return err }; defer g.Release(1); return nil`, ""},
-			{"cleared by shed return", `err := g.TryAcquire(1); if err != nil { return err }; g.Release(1); return nil`, ""},
-			{"exit call", `if err := g.TryAcquire(1); err != nil { return err }; panic("fatal")`, ""},
 		})
 	// durable's protocol mode runs in any package named fsx: join = intersect,
 	// and the finding is the demand at the rename, not a leak at exit.

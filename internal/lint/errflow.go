@@ -33,36 +33,81 @@ var ErrFlow = &Analyzer{
 }
 
 func runErrFlow(p *Pass) {
-	eachFuncBody(p.Unit, func(fb *funcBody) { p.checkMustUse(errMustUse, fb) })
+	eachFuncBody(p.Unit, func(fb *funcBody) {
+		inspectShallow(fb.body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if ok && p.returnsError(call) && !p.errExempt(call) {
+				if msg := p.discardMessage(fb, call); msg != "" {
+					p.Reportf(call.Pos(), "%s", msg)
+				}
+			}
+			return true
+		})
+	})
 }
 
-// errMustUse is the analyzer as a must-use configuration: every call whose
-// last result is `error` is a producer unless the audited exemption list
-// covers it. A partially blanked result (`v, _ := open()`) shows intent and
-// never classifies as dropBlank; dead stores of an arbitrary error are
-// outside this analyzer (the propagation contracts that need them,
-// faultpath and shedflow, have a dropDead message).
-var errMustUse = mustUse{
-	produces: func(p *Pass, call *ast.CallExpr) bool { return p.returnsError(call) && !p.errExempt(call) },
-	message: func(p *Pass, fb *funcBody, call *ast.CallExpr, d disposal) string {
-		verb := "call"
-		switch d {
-		case dropBlank:
-			return "assignment blanks the error from " + callName(call) + "; handle it, or suppress with a reasoned //lint:ignore errflow"
-		case dropDead:
-			return ""
-		case dropDefer:
-			verb = "deferred call"
-		case dropGo:
-			verb = "goroutine call"
+// discardMessage renders the finding for an error-returning call whose
+// result is thrown away — as an expression statement, as the operand of a
+// defer or go statement, or into blank identifiers only — and returns ""
+// when the result reaches anything else (an expression, a return, an
+// argument, a variable). A partially blanked result (`v, _ := open()`)
+// shows intent, and a variable that is never read afterwards is outside
+// this analyzer.
+func (p *Pass) discardMessage(fb *funcBody, call *ast.CallExpr) string {
+	parents := p.parents(fb.file)
+	parent := parents[call]
+	for {
+		pe, ok := parent.(*ast.ParenExpr)
+		if !ok {
+			break
 		}
-		// Close provenance decides between the read-only exemption and a
-		// report; a spawned Close has no element on this body's flow.
-		if d != dropGo && p.isReadOnlyClose(fb, call) {
+		parent = parents[pe]
+	}
+	verb := "call"
+	switch pa := parent.(type) {
+	case *ast.ExprStmt:
+	case *ast.DeferStmt:
+		verb = "deferred call"
+	case *ast.GoStmt:
+		if _, isLit := call.Fun.(*ast.FuncLit); isLit {
+			return "" // a spawned literal's body is checked as its own funcBody
+		}
+		verb = "goroutine call"
+	case *ast.AssignStmt:
+		if !blanksResult(pa, call) {
 			return ""
 		}
-		return verb + " to " + callName(call) + " discards its error; check it, or blank it with an explanatory //lint:ignore errflow"
-	},
+		return "assignment blanks the error from " + callName(call) + "; handle it, or suppress with a reasoned //lint:ignore errflow"
+	default:
+		return ""
+	}
+	// Close provenance decides between the read-only exemption and a
+	// report; a spawned Close has no element on this body's flow.
+	if verb != "goroutine call" && p.isReadOnlyClose(fb, call) {
+		return ""
+	}
+	return verb + " to " + callName(call) + " discards its error; check it, or blank it with an explanatory //lint:ignore errflow"
+}
+
+// blanksResult reports whether every variable receiving call's results in
+// as is _: all of the left-hand side in the multi-value form, the matching
+// one otherwise.
+func blanksResult(as *ast.AssignStmt, call *ast.CallExpr) bool {
+	slots := as.Lhs
+	if len(as.Rhs) != 1 {
+		slots = nil
+		for i, rhs := range as.Rhs {
+			if ast.Unparen(rhs) == call && i < len(as.Lhs) {
+				slots = as.Lhs[i : i+1]
+			}
+		}
+	}
+	for _, lhs := range slots {
+		if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+			return false
+		}
+	}
+	return len(slots) > 0
 }
 
 // returnsError reports whether call's last result is the builtin error type.

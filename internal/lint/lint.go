@@ -47,7 +47,7 @@ type Analyzer struct {
 }
 
 // All is the full qb5000vet suite.
-var All = []*Analyzer{SeededRand, NoClock, MapOrder, FloatEq, GuardedBy, ErrFlow, GoLeak, HandleLife, NoAlloc, Durable, FaultPath, Bounded, ShedFlow}
+var All = []*Analyzer{SeededRand, NoClock, MapOrder, FloatEq, GuardedBy, ErrFlow, GoLeak, HandleLife, NoAlloc, Durable, Bounded}
 
 // A Pass carries one type-checked package through the analyzers.
 type Pass struct {

@@ -93,11 +93,9 @@ func TestErrFlowGolden(t *testing.T)   { runGolden(t, ErrFlow, "errflow", "fixtu
 func TestGoLeakGolden(t *testing.T)     { runGolden(t, GoLeak, "goleak", "fixture/goleak") }
 func TestHandleLifeGolden(t *testing.T) { runGolden(t, HandleLife, "handlelife", "fixture/handlelife") }
 
-func TestNoAllocGolden(t *testing.T)   { runGolden(t, NoAlloc, "noalloc", "fixture/noalloc") }
-func TestDurableGolden(t *testing.T)   { runGolden(t, Durable, "durable", "fixture/durable") }
-func TestFaultPathGolden(t *testing.T) { runGolden(t, FaultPath, "faultpath", "fixture/faultpath") }
-func TestBoundedGolden(t *testing.T)   { runGolden(t, Bounded, "bounded", "fixture/bounded") }
-func TestShedFlowGolden(t *testing.T)  { runGolden(t, ShedFlow, "shedflow", "fixture/shedflow") }
+func TestNoAllocGolden(t *testing.T) { runGolden(t, NoAlloc, "noalloc", "fixture/noalloc") }
+func TestDurableGolden(t *testing.T) { runGolden(t, Durable, "durable", "fixture/durable") }
+func TestBoundedGolden(t *testing.T) { runGolden(t, Bounded, "bounded", "fixture/bounded") }
 
 // TestFsxProtocolGolden drives the durable analyzer's in-fsx mode: the
 // fixture's package clause is named fsx, so the sync-before-rename
@@ -215,8 +213,8 @@ var b = 2
 	for _, spec := range annotationTable {
 		keys = append(keys, spec.key)
 	}
-	if len(analyzers) != 13 {
-		t.Errorf("All registers %d analyzers, want 13: %v", len(analyzers), analyzers)
+	if len(analyzers) != 11 {
+		t.Errorf("All registers %d analyzers, want 11: %v", len(analyzers), analyzers)
 	}
 	for i, want := range []string{
 		"(known: " + strings.Join(analyzers, ", ") + ")",

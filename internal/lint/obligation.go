@@ -8,9 +8,8 @@ import (
 
 // The obligation engine: a forward flow over one function body whose fact
 // is the set of keys minted so far and not yet discharged, each with the
-// position that minted it. handlelife (open → Close/return/transfer),
-// shedflow (acquire → Release) and durable's fsync-before-rename protocol
-// are configurations of it. With join = union the fact is "owed on some
+// position that minted it. handlelife (open → Close/return/transfer) and
+// durable's fsync-before-rename protocol are configurations of it. With join = union the fact is "owed on some
 // path" and what survives to the exit is a leak; with join = intersect it is
 // "established on every path" and demand inspects it at the points that
 // rely on it.

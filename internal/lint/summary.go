@@ -65,11 +65,9 @@ type Program struct {
 	Graph     *CallGraph
 	Summaries map[string]*FuncSummary
 
-	// Lazily built program-wide artifacts: the failpoint registry
-	// cross-reference (faultpath) and the nodes reachable from qb5000:serving
-	// entry points (bounded). The annotation contracts need no table of
-	// their own: they read FuncNode.ann.
-	failpts *fpRegistry
+	// Lazily built: the nodes reachable from qb5000:serving entry points
+	// (bounded). The annotation contracts need no table of their own: they
+	// read FuncNode.ann.
 	serving map[*FuncNode]bool
 }
 

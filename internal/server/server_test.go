@@ -364,3 +364,62 @@ func TestAdmissionSaturation(t *testing.T) {
 		t.Fatalf("catalog saw %d queries, want 1 (shed traffic must not ingest)", got)
 	}
 }
+
+// forecastShed reads admission.forecast.shed from /stats.
+func forecastShed(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Admission.Forecast.Shed
+}
+
+// TestForecastAdmission holds the only /forecast permit of a MaxInflight: 1
+// gate: a poll must shed with 429 + Retry-After and count exactly one more
+// admission.forecast.shed. With the permit back, the same poll is admitted
+// (409 here: no model is trained yet) and sheds nothing.
+func TestForecastAdmission(t *testing.T) {
+	ts, s := newTestServerWithConfig(t, Config{MaxInflight: 1})
+	poll := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/forecast?horizon=1h")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	if err := s.forecastGate.TryAcquire(1); err != nil {
+		t.Fatalf("taking the only permit: %v", err)
+	}
+	before := forecastShed(t, ts.URL)
+	resp := poll()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("poll with the permit held: status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Errorf("poll with the permit held shed without a Retry-After hint")
+	}
+	if got := forecastShed(t, ts.URL) - before; got != 1 {
+		t.Errorf("admission.forecast.shed grew by %d, want 1", got)
+	}
+
+	s.forecastGate.Release(1)
+	before = forecastShed(t, ts.URL)
+	if resp := poll(); resp.StatusCode != http.StatusConflict {
+		t.Errorf("poll with the permit free: status %d, want 409 (admitted, nothing trained)", resp.StatusCode)
+	}
+	if got := forecastShed(t, ts.URL) - before; got != 0 {
+		t.Errorf("an admitted poll grew admission.forecast.shed by %d", got)
+	}
+	if st := s.forecastGate.Stats(); st.Inflight != 0 {
+		t.Errorf("forecast gate reports %d inflight after drain", st.Inflight)
+	}
+}
