@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-faults cover bench bench-ingest race lint lint-stats lint-audit size ci experiments experiments-quick vet fmt clean fuzz-smoke
+.PHONY: all build test test-short test-faults flake-sweep cover bench bench-ingest race lint lint-stats lint-audit size ci experiments experiments-quick vet fmt clean fuzz-smoke
 
 all: build test
 
@@ -25,6 +25,14 @@ test-faults:
 	$(GO) test -count=1 ./internal/failpoint/ ./internal/fsx/
 	$(GO) test -count=1 -run 'TestCrashMatrixSaveUnderIngest|TestSaveFileLoadFileRoundTrip|TestLoadRejectsCorruptSnapshots|TestLoadRefusesOldSnapshots|TestSnapshotFormatGolden|TestRestoredTwinMatchesUnrestarted' .
 	$(GO) test -count=1 -run 'TestRestoreSnapshotErrors|TestSnapshotRoundTrip|TestDecodeHistoryErrors|TestHistoryBinaryRoundTrip' ./internal/preprocess/ ./internal/timeseries/
+
+# Twenty -short passes of every package but the root and
+# internal/experiments (whose one pass alone takes minutes), each package's
+# twenty in one process: a test that leaves process-global state behind
+# (a registered failpoint, a warm allocator) fails its second pass. Mirrors
+# the CI `test` job's flake-sweep step.
+flake-sweep:
+	$(GO) test -count=20 -short $$($(GO) list ./... | grep -v -x -e qb5000 -e qb5000/internal/experiments)
 
 cover:
 	$(GO) test -cover ./...

@@ -24,8 +24,8 @@
 //
 // Schedules are deterministic by construction: nth counts calls, prob draws
 // from a rand.Rand seeded explicitly (never the global RNG), so a failing
-// crash-matrix run replays bit-identically — the same property the
-// seededrand analyzer enforces for model code.
+// crash-matrix run replays bit-identically (TestProbIsDeterministicPerSeed)
+// — the same property the fit-twice tests demand of model code.
 package failpoint
 
 import (

@@ -2,25 +2,41 @@ package failpoint
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
 
-// The registry is process-global, so each test registers fresh names and
-// resets schedules on exit.
+// The registry is process-global and has no Unregister, so the test sites
+// are registered once per process (go test -count=N reruns the tests in
+// one process) and each test resets schedules on exit.
+var _ = []string{
+	Register("test.nth"),
+	Register("test.prob"),
+	Register("test.fast"),
+	Register("test.clear"),
+	Register("test.parse-a"),
+	Register("test.parse-b"),
+	Register("test.race"),
+}
+
+// dupRuns numbers TestRegisterDuplicatePanics' runs, so each run registers
+// a name no earlier run has.
+var dupRuns int
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register("test.dup")
+	dupRuns++
+	name := fmt.Sprintf("test.dup.%d", dupRuns)
+	Register(name)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Register of the same name did not panic")
 		}
 	}()
-	Register("test.dup")
+	Register(name)
 }
 
 func TestNthFiresExactlyOnce(t *testing.T) {
-	Register("test.nth")
 	defer Reset()
 	if err := SetNth("test.nth", 3); err != nil {
 		t.Fatal(err)
@@ -47,7 +63,6 @@ func TestNthFiresExactlyOnce(t *testing.T) {
 }
 
 func TestProbIsDeterministicPerSeed(t *testing.T) {
-	Register("test.prob")
 	defer Reset()
 	run := func(seed int64) []bool {
 		if err := SetProb("test.prob", 0.5, seed); err != nil {
@@ -77,7 +92,6 @@ func TestProbIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestDisarmedFastPath(t *testing.T) {
-	Register("test.fast")
 	Reset()
 	if err := Inject("test.fast"); err != nil {
 		t.Fatalf("disarmed site injected %v", err)
@@ -94,7 +108,6 @@ func TestDisarmedFastPath(t *testing.T) {
 }
 
 func TestClearAndResetDisarm(t *testing.T) {
-	Register("test.clear")
 	defer Reset()
 	if err := SetNth("test.clear", 1); err != nil {
 		t.Fatal(err)
@@ -127,8 +140,6 @@ func TestSetOnUnregisteredErrors(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	Register("test.parse-a")
-	Register("test.parse-b")
 	defer Reset()
 	if err := Parse("test.parse-a=nth:1, test.parse-b=prob:1:9"); err != nil {
 		t.Fatal(err)
@@ -158,7 +169,6 @@ func TestParse(t *testing.T) {
 }
 
 func TestConcurrentInjectIsRaceFree(t *testing.T) {
-	Register("test.race")
 	defer Reset()
 	if err := SetNth("test.race", 50); err != nil {
 		t.Fatal(err)

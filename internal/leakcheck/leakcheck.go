@@ -1,9 +1,10 @@
 // Package leakcheck verifies in tests that a block of code does not leak
-// goroutines — the runtime companion to qb5000vet's static goleak analyzer.
-// The analyzer proves the absence of whole classes of leaks (spawns with no
-// termination path, unbounded per-message spawning); this package catches
-// the remainder at test time by comparing runtime goroutine counts around
-// the code under test.
+// goroutines, by comparing runtime goroutine counts around the code under
+// test. A goroutine with no termination path (the daemon's maintain loop
+// ignoring its context, a pool worker that never drains) shows up as a
+// count that never settles. The one leak shape a count cannot see — a
+// goroutine spawned per trip of an unbounded loop that ends at once — is
+// qb5000vet's goleak rule.
 //
 // The check is count-based, not identity-based, so it needs no runtime
 // internals and stays stdlib-only. Counts are noisy — the runtime starts

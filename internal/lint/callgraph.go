@@ -1,9 +1,10 @@
 package lint
 
-// This file is the interprocedural layer under the goleak / handlelife
-// analyzers: a package-set call graph over the typed ASTs the loader
-// already produces, condensed into strongly connected components so
-// per-function summaries (summary.go) can be computed bottom-up.
+// This file is the interprocedural layer under the analyzers that read
+// function summaries (noalloc, durable, bounded, guardedby): a package-set
+// call graph over the typed ASTs the loader already produces, condensed
+// into strongly connected components so per-function summaries
+// (summary.go) can be computed bottom-up.
 //
 // Soundness caveats, by construction:
 //
@@ -88,9 +89,6 @@ type CallGraph struct {
 
 // NodeFor returns the graph node of a declared function, or nil.
 func (g *CallGraph) NodeFor(fd *ast.FuncDecl) *FuncNode { return g.byDecl[fd] }
-
-// NodeForLit returns the graph node of a function literal, or nil.
-func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 
 // annotated reports whether the node's declaration carries qb5000:<key>;
 // a nil node (a callee outside the loaded set) carries nothing.

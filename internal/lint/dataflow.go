@@ -3,8 +3,8 @@ package lint
 // This file is the intraprocedural dataflow layer the semantic analyzers
 // build on: the function-body walker, a per-function control-flow graph
 // over go/ast, a generic forward worklist solver, the one set lattice its
-// clients share, and reaching definitions. The obligation engine configured
-// on top of it lives in obligation.go. It is deliberately
+// clients share, and reaching definitions. durable's fsync-before-rename
+// check (durable.go) is a direct forwardFlow client. It is deliberately
 // stdlib-only — no golang.org/x/tools — matching the loader's
 // zero-dependency contract.
 //
@@ -508,12 +508,12 @@ func sortedKeys[V any](m map[string]V) []string {
 // ---- The set lattice ----
 
 // A setFact is the lattice element the flow analyses share: a finite map
-// from a key (a lock expression, an open handle, an admission gate, a
-// synced file) to the witness that put it there (a position).
+// from a key (a lock expression, a synced file) to the witness that put it
+// there (a position).
 // Facts are persistent — with and without copy before mutating — because
-// forwardFlow holds the same fact on several edges. union and intersect are
-// the two joins: union for may-analyses (the key holds on some path into
-// the point), intersect for must-analyses (it holds on every path).
+// forwardFlow holds the same fact on several edges. Both flows built on it
+// are must-analyses, joined by intersect (the key holds on every path into
+// the point).
 type setFact[K comparable, V comparable] map[K]V
 
 func (s setFact[K, V]) with(k K, v V) setFact[K, V] {
@@ -537,18 +537,6 @@ func (s setFact[K, V]) without(k K) setFact[K, V] {
 		if sk != k {
 			n[sk] = sv
 		}
-	}
-	return n
-}
-
-// union keeps s's witness for keys both sides hold.
-func (s setFact[K, V]) union(b setFact[K, V]) setFact[K, V] {
-	n := make(setFact[K, V], len(s)+len(b))
-	for k, v := range b {
-		n[k] = v
-	}
-	for k, v := range s {
-		n[k] = v
 	}
 	return n
 }

@@ -28,7 +28,8 @@ import (
 // WriteAtomic, or a wrapper that forwards to it). Handing a durable value
 // to a loaded, unannotated callee whose summary says it PerformsIO is also
 // reported: laundering the write through a helper must not void the
-// contract.
+// contract. A function literal called in place takes the contract into its
+// body through the parameter the durable value is passed to.
 //
 // Inside package fsx itself the direct calls are the implementation, so the
 // flow checks are skipped; instead a CFG must-analysis proves the protocol:
@@ -192,6 +193,19 @@ func runDurable(p *Pass) {
 			if len(durableArgs) == 0 {
 				return true
 			}
+			if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+				// A literal called in place: its parameters carry the
+				// contract into the body, which the walk visits next.
+				params := paramNames(lit.Type)
+				for _, i := range durableArgs {
+					if i < len(params) && params[i] != nil {
+						if obj := p.Info.Defs[params[i]]; obj != nil {
+							durables[obj] = true
+						}
+					}
+				}
+				return true
+			}
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isPkgIdent(p.Info, sel.X, "os") {
 				if reason, banned := osDurableBans[sel.Sel.Name]; banned {
 					p.Reportf(call.Pos(), "os.%s on a qb5000:durable path %s; write it through fsx.WriteAtomic", sel.Sel.Name, reason)
@@ -241,11 +255,12 @@ func checkOpenFileFlags(p *Pass, call *ast.CallExpr) {
 	p.Reportf(call.Pos(), "os.OpenFile on a qb5000:durable path with write flags (or flags the analyzer cannot prove read-only); write it through fsx.WriteAtomic")
 }
 
-// checkFsxProtocol is the must-analysis run inside package fsx, as an
-// obligation-engine configuration: a Sync of an *os.File establishes that
-// file, join = intersect keeps only what every incoming path established,
-// and each os.Rename demands a non-empty set.
+// checkFsxProtocol is the must-analysis run inside package fsx: a
+// forward flow whose fact is the set of *os.File variables synced so far.
+// A Sync adds its file, join = intersect keeps only what every incoming
+// path synced, and each os.Rename demands a non-empty set.
 func checkFsxProtocol(p *Pass) {
+	type fact = setFact[types.Object, token.Pos]
 	selectorCalls := func(n ast.Node, f func(call *ast.CallExpr, sel *ast.SelectorExpr)) {
 		ast.Inspect(n, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
@@ -256,33 +271,31 @@ func checkFsxProtocol(p *Pass) {
 			return true
 		})
 	}
-	protocol := obligation[types.Object]{
-		join: setFact[types.Object, token.Pos].intersect,
-		mint: func(n ast.Node, add func(types.Object, token.Pos)) {
-			selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
-				id, ok := sel.X.(*ast.Ident)
-				if !ok || sel.Sel.Name != "Sync" {
-					return
-				}
-				if t := p.Info.TypeOf(id); t == nil || t.String() != "*os.File" {
-					return
-				}
-				if obj := p.Info.ObjectOf(id); obj != nil {
-					add(obj, call.Pos())
-				}
-			})
-		},
-		demand: func(n ast.Node, synced setFact[types.Object, token.Pos]) {
-			selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
-				if sel.Sel.Name == "Rename" && isPkgIdent(p.Info, sel.X, "os") && len(synced) == 0 {
-					p.Reportf(call.Pos(), "os.Rename without an fsync of the written file on every path to it; the atomic-write protocol is write-temp → fsync → close → rename")
-				}
-			})
-		},
+	sync := func(synced fact, n ast.Node) fact {
+		selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+			id, ok := sel.X.(*ast.Ident)
+			if !ok || sel.Sel.Name != "Sync" {
+				return
+			}
+			if t := p.Info.TypeOf(id); t == nil || t.String() != "*os.File" {
+				return
+			}
+			if obj := p.Info.ObjectOf(id); obj != nil {
+				synced = synced.with(obj, call.Pos())
+			}
+		})
+		return synced
+	}
+	rename := func(n ast.Node, synced fact) {
+		selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+			if sel.Sel.Name == "Rename" && isPkgIdent(p.Info, sel.X, "os") && len(synced) == 0 {
+				p.Reportf(call.Pos(), "os.Rename without an fsync of the written file on every path to it; the atomic-write protocol is write-temp → fsync → close → rename")
+			}
+		})
 	}
 	eachFuncBody(p.Unit, func(fb *funcBody) {
 		if fb.lit == nil {
-			checkObligations(p, fb.body, protocol)
+			forwardFlow(buildCFG(fb.body), fact{}, sync, fact.intersect, fact.equal, rename)
 		}
 	})
 }

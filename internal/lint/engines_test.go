@@ -10,20 +10,17 @@ import (
 	"testing"
 )
 
-// The engine tests drive errflow's disposal classification and every
-// configuration of the obligation engine over a minimal in-memory body, so
-// an engine regression is localised without the golden fixtures. Imports
-// resolve against the stub packages below: just enough of os and sync for
-// the configurations' predicates (which match on package path and type
-// name).
+// The engine tests drive errflow's disposal classification and durable's
+// fsync-before-rename flow over a minimal in-memory body, so an engine
+// regression is localised without the golden fixtures. Imports resolve
+// against the stub packages below: just enough of os and sync for the
+// analyzers' predicates (which match on package path and type name).
 var stubSources = map[string]string{
 	"os": `package os
 type File struct{}
 func (*File) Close() error { return nil }
 func (*File) Sync() error  { return nil }
-func Open(string) (*File, error)   { return nil, nil }
-func Create(string) (*File, error) { return nil, nil }
-func Rename(a, b string) error     { return nil }
+func Rename(a, b string) error { return nil }
 `,
 	"sync": `package sync
 type Mutex struct{}
@@ -118,19 +115,10 @@ func pair() (int, error) { return 0, nil }`, "",
 		})
 }
 
+// TestObligationEngine drives durable's protocol mode, which runs in any
+// package named fsx: join = intersect, and the finding is the demand at the
+// rename.
 func TestObligationEngine(t *testing.T) {
-	runEngineCases(t, HandleLife,
-		`package p
-import "os"`, "",
-		[]engineCase{
-			{"leak", `h, err := os.Open("x"); if err != nil { return err }; h.Sync(); return nil`, "h is opened here but not closed on every path"},
-			{"leak on one path", `h, _ := os.Open("x"); if h.Sync() == nil { h.Close() }; return nil`, "h is opened here but not closed on every path"},
-			{"discharged", `h, err := os.Open("x"); if err != nil { return err }; defer h.Close(); return nil`, ""},
-			{"cleared by error return", `h, err := os.Open("x"); h.Sync(); return err`, ""},
-			{"exit call", `h, _ := os.Open("x"); h.Sync(); panic("fatal")`, ""},
-		})
-	// durable's protocol mode runs in any package named fsx: join = intersect,
-	// and the finding is the demand at the rename, not a leak at exit.
 	runEngineCases(t, Durable,
 		`package fsx
 import "os"`, "tmp *os.File, fast bool",

@@ -8,7 +8,7 @@ import (
 func TestDirectiveUses(t *testing.T) {
 	const src = `package p
 
-//lint:ignore seededrand deterministic seed derived from trace hash
+//lint:ignore noclock times the experiment, not the model
 var a = 1
 
 //lint:ignore floateq,maporder audited: compares cluster IDs not floats
@@ -22,10 +22,10 @@ var c = 3
 	if len(uses) != 2 {
 		t.Fatalf("got %d uses, want 2 (unknown analyzer excluded): %v", len(uses), uses)
 	}
-	if len(uses[0].Analyzers) != 1 || uses[0].Analyzers[0] != "seededrand" {
+	if len(uses[0].Analyzers) != 1 || uses[0].Analyzers[0] != "noclock" {
 		t.Errorf("first use analyzers = %v", uses[0].Analyzers)
 	}
-	if uses[0].Reason != "deterministic seed derived from trace hash" {
+	if uses[0].Reason != "times the experiment, not the model" {
 		t.Errorf("first use reason = %q", uses[0].Reason)
 	}
 	if len(uses[1].Analyzers) != 2 {

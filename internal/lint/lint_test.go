@@ -82,16 +82,14 @@ func runGolden(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 	}
 }
 
-func TestSeededRandGolden(t *testing.T) { runGolden(t, SeededRand, "seededrand", "fixture/seededrand") }
-func TestNoClockGolden(t *testing.T)    { runGolden(t, NoClock, "noclock", "fixture/noclock") }
-func TestMapOrderGolden(t *testing.T)   { runGolden(t, MapOrder, "maporder", "fixture/maporder") }
-func TestFloatEqGolden(t *testing.T)    { runGolden(t, FloatEq, "floateq", "fixture/floateq") }
+func TestNoClockGolden(t *testing.T)  { runGolden(t, NoClock, "noclock", "fixture/noclock") }
+func TestMapOrderGolden(t *testing.T) { runGolden(t, MapOrder, "maporder", "fixture/maporder") }
+func TestFloatEqGolden(t *testing.T)  { runGolden(t, FloatEq, "floateq", "fixture/floateq") }
 
 func TestGuardedByGolden(t *testing.T) { runGolden(t, GuardedBy, "guardedby", "fixture/guardedby") }
 func TestErrFlowGolden(t *testing.T)   { runGolden(t, ErrFlow, "errflow", "fixture/errflow") }
 
-func TestGoLeakGolden(t *testing.T)     { runGolden(t, GoLeak, "goleak", "fixture/goleak") }
-func TestHandleLifeGolden(t *testing.T) { runGolden(t, HandleLife, "handlelife", "fixture/handlelife") }
+func TestGoLeakGolden(t *testing.T) { runGolden(t, GoLeak, "goleak", "fixture/goleak") }
 
 func TestNoAllocGolden(t *testing.T) { runGolden(t, NoAlloc, "noalloc", "fixture/noalloc") }
 func TestDurableGolden(t *testing.T) { runGolden(t, Durable, "durable", "fixture/durable") }
@@ -111,7 +109,7 @@ func TestUnknownAnnotationKeyGolden(t *testing.T) {
 // TestSuppression checks that valid //lint:ignore directives (leading,
 // trailing, and multi-analyzer) swallow findings, while directives naming a
 // different analyzer do not.
-func TestSuppression(t *testing.T) { runGolden(t, SeededRand, "suppress", "fixture/suppress") }
+func TestSuppression(t *testing.T) { runGolden(t, NoClock, "suppress", "fixture/suppress") }
 
 // TestNoClockStrict loads the fixture under a model-package import path,
 // where noclock suppressions must be rejected.
@@ -127,7 +125,7 @@ func TestDirectiveHygiene(t *testing.T) {
 	src := `package p
 
 func a() {
-	//lint:ignore seededrand
+	//lint:ignore noclock
 	_ = 1
 }
 
@@ -147,7 +145,7 @@ func d() {
 }
 
 func e() {
-	//lint:ignore lockorder names an analyzer retired in PR 22
+	//lint:ignore seededrand names an analyzer whose rows tests now hold
 	_ = 5
 }
 `
@@ -161,7 +159,7 @@ func e() {
 		"must carry a reason",
 		"names no analyzer",
 		`unknown analyzer "bogusname"`,
-		`unknown analyzer "lockorder"`,
+		`unknown analyzer "seededrand"`,
 	}
 	if len(bad) != len(wantMsgs) {
 		t.Fatalf("got %d hygiene findings, want %d: %v", len(bad), len(wantMsgs), bad)
@@ -180,7 +178,7 @@ func e() {
 	if !sup.suppresses(ok) {
 		t.Errorf("well-formed directive did not register a suppression")
 	}
-	if sup.suppresses(Finding{Pos: token.Position{Filename: "hygiene.go", Line: 20}, Analyzer: "seededrand"}) {
+	if sup.suppresses(Finding{Pos: token.Position{Filename: "hygiene.go", Line: 20}, Analyzer: "noclock"}) {
 		t.Errorf("suppression leaked to an analyzer the directive does not name")
 	}
 }
@@ -213,8 +211,8 @@ var b = 2
 	for _, spec := range annotationTable {
 		keys = append(keys, spec.key)
 	}
-	if len(analyzers) != 11 {
-		t.Errorf("All registers %d analyzers, want 11: %v", len(analyzers), analyzers)
+	if len(analyzers) != 9 {
+		t.Errorf("All registers %d analyzers, want 9: %v", len(analyzers), analyzers)
 	}
 	for i, want := range []string{
 		"(known: " + strings.Join(analyzers, ", ") + ")",

@@ -3,10 +3,7 @@
 // nodes, SCC formation, and the function summaries computed over them.
 package callgraphfix
 
-import (
-	"context"
-	"os"
-)
+import "context"
 
 type Runner interface{ Run() int }
 
@@ -57,27 +54,13 @@ func callsLit() int {
 	return func() int { return 3 }()
 }
 
-// spin blocks forever: the MayBlockForever summary bit.
+// spin loops forever; spinsViaCallee reaches it by a plain static edge.
 func spin() {
 	for {
 	}
 }
 
-// spinsViaCallee inherits the bit transitively.
 func spinsViaCallee() { spin() }
 
-// closesArg closes its parameter: the Closes summary.
-func closesArg(f *os.File) error { return f.Close() }
-
-// closesTransitively forwards to the closer.
-func closesTransitively(f *os.File) { _ = closesArg(f) }
-
-// returnsOpen hands an open handle to its caller.
-func returnsOpen(path string) (*os.File, error) {
-	return os.Open(path)
-}
-
-// die never returns.
-func die() {
-	os.Exit(3)
-}
+// spawnsViaCallee inherits the Spawns summary bit through a static call.
+func spawnsViaCallee(ctx context.Context) { spawnAndDefer(ctx) }

@@ -87,3 +87,14 @@ func callers(c cfg, body []byte) {
 	_ = rawDump(c.SnapshotPath, body) // want "performs filesystem writes without a qb5000:durable parameter contract"
 	_ = rawDump(c.ScratchPath, body)  // a non-durable scratch path may go anywhere
 }
+
+// calledInPlace hands the durable path to a literal called where it is
+// written: the literal's parameter carries the contract into its body.
+func calledInPlace(c cfg, body []byte) {
+	_ = func(p string) error {
+		return os.WriteFile(p, body, 0o644) // want "os.WriteFile on a qb5000:durable path"
+	}(c.SnapshotPath)
+	_ = func(p string) error {
+		return os.WriteFile(p, body, 0o644) // a non-durable scratch path may go anywhere
+	}(c.ScratchPath)
+}

@@ -1,71 +1,6 @@
-// Package goleakfix exercises the goleak analyzer: goroutines must have a
-// termination path, spawns inside unbounded loops are leak amplifiers, and
-// http.Server literals must bound client read time.
+// Package goleakfix exercises the goleak analyzer: a goroutine spawned
+// inside an unbounded loop is a leak amplifier.
 package goleakfix
-
-import (
-	"context"
-	"net/http"
-)
-
-// blockForever loops with no exit path at all.
-func blockForever() {
-	for {
-	}
-}
-
-// viaCallee reaches the blocker one static call deep.
-func viaCallee() { blockForever() }
-
-func spawnDirect() {
-	go blockForever() // want "no termination path"
-}
-
-func spawnTransitive() {
-	go viaCallee() // want "no termination path"
-}
-
-func spawnLit() {
-	go func() { // want "no termination path"
-		for {
-		}
-	}()
-}
-
-// spawnDoneBreak looks cancellable, but the break binds the select, not the
-// loop: the goroutine spins forever.
-func spawnDoneBreak(ctx context.Context) {
-	go func() { // want "no termination path"
-		for {
-			select {
-			case <-ctx.Done():
-				break
-			default:
-			}
-		}
-	}()
-}
-
-// spawnCancellable returns out of the loop on ctx.Done: fine.
-func spawnCancellable(ctx context.Context, ticks chan int) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticks:
-			}
-		}
-	}()
-}
-
-// spawnDrain terminates when the channel is closed: fine.
-func spawnDrain(jobs chan int) {
-	go func() {
-		for range jobs {
-		}
-	}()
-}
 
 func handle() {}
 
@@ -83,6 +18,19 @@ func spawnForever() {
 	}
 }
 
+// spawnPerTick spawns a goroutine that ends at once, once per tick: no
+// goroutine count sees it, the loop rule does.
+func spawnPerTick(ticks chan int, done chan struct{}) {
+	for {
+		select {
+		case <-done:
+			return
+		case <-ticks:
+			go handle() // want "unbounded loop"
+		}
+	}
+}
+
 // spawnPerItem is bounded by the slice length: fine.
 func spawnPerItem(items []int) {
 	for range items {
@@ -95,12 +43,4 @@ func spawnBoundedPool(n int) {
 	for g := 0; g < n; g++ {
 		go handle()
 	}
-}
-
-func badServer() *http.Server {
-	return &http.Server{Addr: ":0"} // want "http.Server without ReadHeaderTimeout"
-}
-
-func goodServer() *http.Server {
-	return &http.Server{Addr: ":0", ReadHeaderTimeout: 1}
 }

@@ -1,26 +1,26 @@
 package suppress
 
-import "math/rand"
+import "time"
 
-func suppressedAbove() int {
-	//lint:ignore seededrand fixture exercises the leading-directive path
-	return rand.Intn(10)
+func suppressedAbove() time.Time {
+	//lint:ignore noclock fixture exercises the leading-directive path
+	return time.Now()
 }
 
-func suppressedTrailing() int {
-	return rand.Intn(10) //lint:ignore seededrand trailing directives apply to their own line
+func suppressedTrailing() time.Time {
+	return time.Now() //lint:ignore noclock trailing directives apply to their own line
 }
 
-func suppressedList() int {
-	//lint:ignore seededrand,floateq one directive may cover several analyzers
-	return rand.Intn(10)
+func suppressedList() time.Time {
+	//lint:ignore noclock,floateq one directive may cover several analyzers
+	return time.Now()
 }
 
-func wrongAnalyzer() int {
-	//lint:ignore noclock this names a different analyzer, so seededrand still fires
-	return rand.Intn(10) // want "global rand\.Intn"
+func wrongAnalyzer() time.Time {
+	//lint:ignore maporder this names a different analyzer, so noclock still fires
+	return time.Now() // want "time\.Now reads the wall clock"
 }
 
-func unsuppressed() int {
-	return rand.Intn(10) // want "global rand\.Intn"
+func unsuppressed() time.Time {
+	return time.Now() // want "time\.Now reads the wall clock"
 }

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -36,7 +37,12 @@ func TestRecordMinuteLoopAllocs(t *testing.T) {
 func TestRecordMinuteLoopWithHourlyCompactAllocs(t *testing.T) {
 	const minutes = 40 * 24 * 60
 	var compacted int
-	allocs := testing.AllocsPerRun(1, func() {
+	// The count is the mean over ten runs, each with the collector held off:
+	// a collection during the measurement (or one earlier tests left
+	// running) now and then credits an allocation that is not the loop's,
+	// and one such stray over a single run read 33 against the bound.
+	allocs := testing.AllocsPerRun(10, func() {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		h := NewHistory(t0)
 		compacted = 0
 		for m := 0; m < minutes; m++ {
