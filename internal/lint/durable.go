@@ -271,7 +271,7 @@ func checkFsxProtocol(p *Pass) {
 			return true
 		})
 	}
-	sync := func(synced fact, n ast.Node) fact {
+	addSynced := func(synced fact, n ast.Node) fact {
 		selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
 			id, ok := sel.X.(*ast.Ident)
 			if !ok || sel.Sel.Name != "Sync" {
@@ -286,7 +286,7 @@ func checkFsxProtocol(p *Pass) {
 		})
 		return synced
 	}
-	rename := func(n ast.Node, synced fact) {
+	checkRename := func(n ast.Node, synced fact) {
 		selectorCalls(n, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
 			if sel.Sel.Name == "Rename" && isPkgIdent(p.Info, sel.X, "os") && len(synced) == 0 {
 				p.Reportf(call.Pos(), "os.Rename without an fsync of the written file on every path to it; the atomic-write protocol is write-temp → fsync → close → rename")
@@ -295,7 +295,7 @@ func checkFsxProtocol(p *Pass) {
 	}
 	eachFuncBody(p.Unit, func(fb *funcBody) {
 		if fb.lit == nil {
-			forwardFlow(buildCFG(fb.body), fact{}, sync, fact.intersect, fact.equal, rename)
+			forwardFlow(buildCFG(fb.body), fact{}, addSynced, fact.intersect, fact.equal, checkRename)
 		}
 	})
 }
