@@ -73,9 +73,10 @@ lint-stats:
 
 # The analyzers' mutation audit (DESIGN.md §7): seeds each row of
 # internal/lint/audit/mutations.txt into a temporary export of HEAD and
-# prints which gate catches it — a qb5000vet finding, a failing test, or
-# both. Fails if a row does not apply or no gate catches it. About a
-# quarter of an hour on two cores; not part of `make ci`.
+# prints which gate catches it — a qb5000vet finding, a go vet finding, a
+# failing test (some rows run theirs under -race), or several. Fails if a
+# row does not apply or no gate catches it. About half an hour on two
+# cores; not part of `make ci`.
 lint-audit:
 	sh internal/lint/audit/run.sh
 

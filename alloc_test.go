@@ -14,10 +14,12 @@ import (
 
 // TestObserveHitPathAllocs is the allocation gate for the fingerprint-cache
 // fast path: an Observe whose raw SQL is already cached must not allocate.
-// The budget is ≤1 alloc/op only to absorb one-off runtime effects
-// (AllocsPerRun rounds up); the steady state is zero. Guarded by CI's test
-// job — a regression here means the zero-alloc observe path grew an
-// allocation somewhere between Observe and the stripe fold.
+// AllocsPerRun divides the total by the runs and rounds down, so a single
+// Observe must read 0: one allocation per call would read 1. A whole batch
+// gets a budget of one allocation per 256 lines. A regression here means the
+// zero-alloc observe path grew an allocation somewhere between Observe and
+// the stripe fold; internal/preprocess's TestHitPathAllocs covers the fold's
+// other branches (literals, counts above one).
 func TestObserveHitPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -35,11 +37,11 @@ func TestObserveHitPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("cache-hit Observe allocated %.1f allocs/op, want ≤1", allocs)
+	if allocs > 0 {
+		t.Errorf("cache-hit Observe allocated %.1f allocs/op, want 0", allocs)
 	}
 	// The batch entry point is the same fold in a loop: a whole all-hit batch
-	// gets the same budget, not one allocation per line or per stripe.
+	// gets at most one allocation, not one per line or per stripe.
 	batch := make([]Observation, 256)
 	for i := range batch {
 		batch[i] = Observation{SQL: sql, At: at, Count: 1}
@@ -54,6 +56,40 @@ func TestObserveHitPathAllocs(t *testing.T) {
 	}
 	if hits := f.Stats().CacheHits; hits == 0 {
 		t.Fatal("expected cache hits, got none — the test did not exercise the fast path")
+	}
+}
+
+// TestObserveTraceAllocs bounds what the /observe serving form costs per
+// line: ObserveTrace over a trace body whose every line hits the fingerprint
+// cache. tracefile.Read copies each line out of the scanner's buffer
+// (Scanner.Text), and that string is the one allocation a line may make;
+// the scanner and its buffer are per call, so the per-line cost is the
+// difference between a 257-line and a 1-line body over 256 lines.
+func TestObserveTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f := New(Config{Seed: 1, FingerprintCacheSize: 64})
+	const line = "2018-01-01T00:00:00Z\tSELECT a, b FROM t\n"
+	one := []byte(line)
+	many := bytes.Repeat(one, 257)
+	var r bytes.Reader
+	observe := func(body []byte) float64 {
+		return testing.AllocsPerRun(100, func() {
+			r.Reset(body)
+			if res, err := f.ObserveTrace(&r); err != nil || res.Rejected != 0 {
+				t.Fatalf("ObserveTrace: %+v, %v", res, err)
+			}
+		})
+	}
+	observe(one) // the one miss parses and caches
+	perLine := (observe(many) - observe(one)) / 256
+	t.Logf("%.2f allocations per trace line", perLine)
+	if perLine > 1 {
+		t.Errorf("ObserveTrace allocated %.2f times per all-hit line, want ≤ 1 (the line's string)", perLine)
+	}
+	if st := f.Stats(); st.CacheMisses != 1 {
+		t.Errorf("%d cache misses, want 1: the lines did not all take the hit path", st.CacheMisses)
 	}
 }
 

@@ -6,16 +6,14 @@
 // overload instead of queueing it — a request that cannot be admitted
 // immediately is answered with ErrOverload and never touches the catalog.
 //
-// TryAcquire/Release form the zero-alloc fast path (qb5000:noalloc, gated
-// by the noalloc analyzer); Acquire is the ctx-bounded slow path for
-// callers that prefer brief queueing over shedding. The calling convention
-// — the returned error must propagate to a 429, and every successful
-// acquire needs a Release on all paths — is held by the server's
-// TestAdmissionSaturation and TestForecastAdmission.
+// TryAcquire/Release is the only admission path, and it allocates nothing
+// (TestFastPathAllocs). The calling convention — the returned error must
+// propagate to a 429, and every successful acquire needs a Release on all
+// paths — is held by the server's TestAdmissionSaturation and
+// TestForecastAdmission.
 package admission
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +21,7 @@ import (
 
 // ErrOverload is the typed overload signal an admission check produces.
 // HTTP handlers must map it to 429 Too Many Requests (the server's
-// admission tests require it); errors from Acquire additionally unwrap to the
-// context error when the caller's deadline expired while queued.
+// admission tests require it).
 var ErrOverload = &overloadError{}
 
 // overloadError is a distinct type so ErrOverload survives wrapping and
@@ -32,15 +29,6 @@ var ErrOverload = &overloadError{}
 type overloadError struct{}
 
 func (*overloadError) Error() string { return "admission: overload" }
-
-// A queueError is returned by Acquire when the caller's context ends while
-// queued. It unwraps to both ErrOverload (for shed accounting and the 429
-// mapping) and the context error (so callers can tell cancellation from
-// deadline expiry).
-type queueError struct{ cause error }
-
-func (e *queueError) Error() string   { return "admission: overload: " + e.cause.Error() }
-func (e *queueError) Unwrap() []error { return []error{ErrOverload, e.cause} }
 
 // Options configures a Gate. The zero value admits everything.
 type Options struct {
@@ -59,39 +47,29 @@ type Options struct {
 }
 
 // A Gate is one admission-control point: a weighted semaphore plus an
-// optional token bucket, with admitted/shed/queued counters. The zero
-// value is not usable; construct with New.
+// optional token bucket, with admitted/shed counters. The zero value is
+// not usable; construct with New.
 type Gate struct {
 	maxInflight int64
 	inflight    atomic.Int64
-	// slot carries release wakeups to queued Acquire calls. Capacity 1 by
-	// construction: a wakeup is a hint, waiters re-check the semaphore and
-	// re-arm the hint for the next waiter.
-	slot chan struct{}
 
 	rate, burst float64
 	nowNs       func() int64
-	bmu         sync.Mutex
-	// qb5000:guardedby bmu
+	// bmu guards the bucket: tokens and lastNs.
+	bmu    sync.Mutex
 	tokens float64
-	// qb5000:guardedby bmu
 	lastNs int64
 
 	admitted atomic.Int64
 	shed     atomic.Int64
-	queued   atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of one gate's counters.
 type Stats struct {
 	// Admitted counts calls that acquired the gate.
 	Admitted int64
-	// Shed counts calls rejected with ErrOverload (TryAcquire denials and
-	// Acquire calls whose context ended while queued).
+	// Shed counts calls rejected with ErrOverload.
 	Shed int64
-	// Queued counts Acquire calls that could not be admitted immediately
-	// and waited.
-	Queued int64
 	// Inflight is the admitted weight currently outstanding.
 	Inflight int64
 	// MaxInflight and Rate echo the configuration (0 = unlimited).
@@ -109,7 +87,6 @@ func wallNanos() int64 {
 func New(o Options) *Gate {
 	g := &Gate{
 		maxInflight: o.MaxInflight,
-		slot:        make(chan struct{}, 1),
 		rate:        o.Rate,
 		burst:       o.Burst,
 		nowNs:       o.nowNanos,
@@ -133,8 +110,6 @@ func New(o Options) *Gate {
 // TryAcquire admits n units of work (n <= 0 counts as 1) without blocking,
 // or sheds the call with ErrOverload. Every nil return must be paired with
 // a Release of the same weight on all paths.
-//
-// qb5000:noalloc
 func (g *Gate) TryAcquire(n int64) error {
 	if n <= 0 {
 		n = 1
@@ -147,67 +122,17 @@ func (g *Gate) TryAcquire(n int64) error {
 	return nil
 }
 
-// Acquire admits n units (n <= 0 counts as 1), waiting while the gate is
-// full until ctx ends. On expiry it sheds: the error unwraps to ErrOverload
-// and to ctx.Err().
-func (g *Gate) Acquire(ctx context.Context, n int64) error {
-	if n <= 0 {
-		n = 1
-	}
-	if g.admit(n) {
-		g.admitted.Add(1)
-		return nil
-	}
-	g.queued.Add(1)
-	// Release wakeups cover semaphore slots; when a rate limit is active the
-	// bucket also refills on its own, so poll it at quarter-token cadence.
-	var refill <-chan time.Time
-	if g.rate > 0 {
-		t := time.NewTicker(time.Duration(float64(time.Second)/g.rate/4) + 1)
-		defer t.Stop()
-		refill = t.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			g.shed.Add(1)
-			return &queueError{cause: ctx.Err()}
-		case <-g.slot:
-		case <-refill:
-		}
-		if g.admit(n) {
-			g.admitted.Add(1)
-			// More than one waiter may fit now; pass the hint along.
-			select {
-			case g.slot <- struct{}{}:
-			default:
-			}
-			return nil
-		}
-	}
-}
-
 // Release returns n units (n <= 0 counts as 1) admitted by a successful
-// TryAcquire or Acquire and wakes one queued waiter.
-//
-// qb5000:noalloc
+// TryAcquire.
 func (g *Gate) Release(n int64) {
 	if n <= 0 {
 		n = 1
 	}
 	g.inflight.Add(-n)
-	// Non-blocking by contract: Release runs on serving paths (the bounded
-	// analyzer rejects a send here that could park the request goroutine).
-	select {
-	case g.slot <- struct{}{}:
-	default:
-	}
 }
 
 // admit is the uncounted core: semaphore first, then the bucket, rolling
 // the semaphore back when the bucket is dry.
-//
-// qb5000:noalloc
 func (g *Gate) admit(n int64) bool {
 	if !g.trySem(n) {
 		return false
@@ -220,8 +145,6 @@ func (g *Gate) admit(n int64) bool {
 }
 
 // trySem reserves n units of inflight weight if the cap allows.
-//
-// qb5000:noalloc
 func (g *Gate) trySem(n int64) bool {
 	if g.maxInflight <= 0 {
 		g.inflight.Add(n)
@@ -240,8 +163,6 @@ func (g *Gate) trySem(n int64) bool {
 
 // takeTokens refills the bucket from elapsed time and spends n tokens if
 // available.
-//
-// qb5000:noalloc
 func (g *Gate) takeTokens(n float64) bool {
 	if g.rate <= 0 {
 		return true
@@ -268,7 +189,6 @@ func (g *Gate) Stats() Stats {
 	return Stats{
 		Admitted:    g.admitted.Load(),
 		Shed:        g.shed.Load(),
-		Queued:      g.queued.Load(),
 		Inflight:    g.inflight.Load(),
 		MaxInflight: g.maxInflight,
 		Rate:        g.rate,

@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -97,57 +96,6 @@ func TestTokenBucketRate(t *testing.T) {
 	g.Release(1)
 }
 
-func TestAcquireWaitsForRelease(t *testing.T) {
-	leakcheck.Check(t, func() {
-		g := New(Options{MaxInflight: 1})
-		if err := g.TryAcquire(1); err != nil {
-			t.Fatal(err)
-		}
-		got := make(chan error, 1)
-		go func() {
-			got <- g.Acquire(context.Background(), 1)
-		}()
-		// The waiter must be parked, not admitted.
-		select {
-		case err := <-got:
-			t.Fatalf("Acquire returned %v while the gate was full", err)
-		case <-time.After(20 * time.Millisecond):
-		}
-		g.Release(1)
-		if err := <-got; err != nil {
-			t.Fatalf("Acquire after release: %v", err)
-		}
-		g.Release(1)
-		s := g.Stats()
-		if s.Queued != 1 {
-			t.Fatalf("queued = %d, want 1", s.Queued)
-		}
-	})
-}
-
-func TestAcquireCtxExpiry(t *testing.T) {
-	leakcheck.Check(t, func() {
-		g := New(Options{MaxInflight: 1})
-		if err := g.TryAcquire(1); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		err := g.Acquire(ctx, 1)
-		if !errors.Is(err, ErrOverload) {
-			t.Fatalf("err = %v, want ErrOverload", err)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want it to unwrap to DeadlineExceeded", err)
-		}
-		g.Release(1)
-		s := g.Stats()
-		if s.Admitted != 1 || s.Shed != 1 || s.Queued != 1 {
-			t.Fatalf("stats = %+v, want admitted 1, shed 1, queued 1", s)
-		}
-	})
-}
-
 func TestUnlimitedGate(t *testing.T) {
 	g := New(Options{})
 	for i := 0; i < 100; i++ {
@@ -172,9 +120,9 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
-// TestFastPathAllocs is the runtime companion to the qb5000:noalloc
-// annotations on TryAcquire/Release: the admit/shed fast path must not
-// allocate, including the shed return of the ErrOverload sentinel.
+// TestFastPathAllocs is the allocation gate of TryAcquire/Release: the
+// admit/shed fast path must not allocate, including the shed return of the
+// ErrOverload sentinel.
 func TestFastPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -100,24 +100,21 @@ func (c *Cluster) MemberIDs() []int64 {
 
 // Clusterer maintains the template → cluster mapping incrementally. It is
 // safe for concurrent use: Update serializes behind a write lock while the
-// read accessors (Len, Assignment, Cluster, Clusters) take a read lock, and
-// qb5000vet's guardedby analyzer verifies the discipline against the
-// annotations below.
+// read accessors (Len, Assignment, Cluster, Clusters) take a read lock
+// (TestConcurrentReadersDuringUpdate runs them against Update under -race).
 type Clusterer struct {
 	opts Options
 	rng  *rand.Rand
 
-	mu sync.RWMutex
-	// qb5000:guardedby mu
-	clusters map[int64]*Cluster
-	// qb5000:guardedby mu
+	// mu guards clusters, assignment and features.
+	mu         sync.RWMutex
+	clusters   map[int64]*Cluster
 	assignment map[int64]int64 // template ID → cluster ID
 	nextID     int64
 
 	// Per-update state. stamps is only touched by Update's call chain and
-	// read-only in pool workers, so it stays unannotated.
-	stamps []time.Time
-	// qb5000:guardedby mu
+	// read-only in pool workers.
+	stamps   []time.Time
 	features map[int64][]float64
 }
 
@@ -207,13 +204,12 @@ func (c *Clusterer) Update(ctx context.Context, now time.Time, templates []*prep
 	// same set is evicted regardless of worker count.
 	sims := make([]float64, len(templates))
 	err := parallel.ForEach(ctx, c.opts.Parallelism, len(templates), func(_ context.Context, i int) error {
+		// Read-only: the workers run while Update holds mu for writing.
 		t := templates[i]
-		//lint:ignore guardedby read-only access; workers run while Update holds mu for writing
 		cid, ok := c.assignment[t.ID]
 		if !ok {
 			return nil
 		}
-		//lint:ignore guardedby read-only access; workers run while Update holds mu for writing
 		sims[i] = c.similarity(c.features[t.ID], c.clusters[cid].center)
 		return nil
 	})
@@ -277,7 +273,7 @@ func (c *Clusterer) Update(ctx context.Context, now time.Time, templates []*prep
 // are drawn from the RNG once up front, each worker writes only its own
 // template's slot, and the map is assembled sequentially afterwards.
 //
-// qb5000:locked mu
+// The caller holds c.mu.
 func (c *Clusterer) computeFeatures(ctx context.Context, now time.Time, templates []*preprocess.Template) error {
 	c.features = make(map[int64][]float64, len(templates))
 	if c.opts.Mode == Logical {
@@ -308,11 +304,11 @@ func (c *Clusterer) computeFeatures(ctx context.Context, now time.Time, template
 // recomputeAllCenters refreshes every cluster's center against this round's
 // features. Each worker owns one cluster, so the writes never overlap.
 //
-// qb5000:locked mu
+// The caller holds c.mu.
 func (c *Clusterer) recomputeAllCenters(ctx context.Context) error {
 	ids := c.clusterIDs()
 	return parallel.ForEach(ctx, c.opts.Parallelism, len(ids), func(_ context.Context, i int) error {
-		//lint:ignore guardedby each worker owns one cluster slot; Update holds mu for the pool's lifetime
+		// Each worker owns one cluster; Update holds mu for the pool's lifetime.
 		c.recomputeCenter(c.clusters[ids[i]])
 		return nil
 	})
@@ -335,7 +331,7 @@ func (c *Clusterer) similarity(a, b []float64) float64 {
 	return mat.CosineSimilarity(a, b)
 }
 
-// qb5000:locked mu
+// newCluster opens a cluster around t; the caller holds c.mu.
 func (c *Clusterer) newCluster(t *preprocess.Template) *Cluster {
 	c.nextID++
 	cl := &Cluster{
@@ -347,14 +343,15 @@ func (c *Clusterer) newCluster(t *preprocess.Template) *Cluster {
 	return cl
 }
 
-// qb5000:locked mu
+// addMember places t in cluster cid; the caller holds c.mu.
 func (c *Clusterer) addMember(cid int64, t *preprocess.Template) {
 	cl := c.clusters[cid]
 	cl.Members[t.ID] = t
 	c.recomputeCenter(cl)
 }
 
-// qb5000:locked mu
+// removeMember drops template tid from cluster cid, and the cluster with
+// its last member; the caller holds c.mu.
 func (c *Clusterer) removeMember(cid, tid int64) {
 	cl, ok := c.clusters[cid]
 	if !ok {
@@ -373,7 +370,7 @@ func (c *Clusterer) removeMember(cid, tid int64) {
 // sorted ID order: float addition is not associative, so summing in map
 // iteration order would make the center's low bits vary run to run.
 //
-// qb5000:locked mu
+// The caller holds c.mu.
 func (c *Clusterer) recomputeCenter(cl *Cluster) {
 	ids := cl.MemberIDs()
 	var dim int
@@ -410,7 +407,7 @@ func (c *Clusterer) recomputeCenter(cl *Cluster) {
 
 // buildTree indexes normalized cluster centers for nearest-center lookup.
 //
-// qb5000:locked mu
+// The caller holds c.mu.
 func (c *Clusterer) buildTree() *kdtree.Tree {
 	dim := c.featureDim()
 	if dim == 0 {
@@ -423,7 +420,8 @@ func (c *Clusterer) buildTree() *kdtree.Tree {
 	return tree
 }
 
-// qb5000:locked mu
+// featureDim is the length of this round's feature vectors; the caller
+// holds c.mu.
 func (c *Clusterer) featureDim() int {
 	for _, f := range c.features {
 		return len(f)
@@ -440,7 +438,8 @@ func (c *Clusterer) treeInsert(tree *kdtree.Tree, cl *Cluster) {
 	}
 }
 
-// qb5000:locked mu
+// nearestCluster returns the live cluster whose center is nearest feat;
+// the caller holds c.mu.
 func (c *Clusterer) nearestCluster(tree *kdtree.Tree, feat []float64) (int64, bool) {
 	if tree == nil || tree.Len() == 0 || len(feat) != tree.Dim() {
 		return 0, false
@@ -474,7 +473,7 @@ func normalize(v []float64) []float64 {
 // sequential reduction over rows reproduces the exact pair the serial
 // double loop would pick (ties broken by ascending ID order).
 //
-// qb5000:locked mu
+// The caller holds c.mu.
 func (c *Clusterer) mergeClusters(ctx context.Context) (int, error) {
 	merged := 0
 	for {
@@ -485,11 +484,10 @@ func (c *Clusterer) mergeClusters(ctx context.Context) (int, error) {
 		}
 		rows := make([]rowBest, len(ids))
 		err := parallel.ForEach(ctx, c.opts.Parallelism, len(ids), func(_ context.Context, i int) error {
+			// Read-only: the workers run while Update holds mu for writing.
 			best := rowBest{sim: -1}
-			//lint:ignore guardedby read-only access; workers run while Update holds mu for writing
 			a := c.clusters[ids[i]]
 			for j := i + 1; j < len(ids); j++ {
-				//lint:ignore guardedby read-only access; workers run while Update holds mu for writing
 				b := c.clusters[ids[j]]
 				if s := c.similarity(a.center, b.center); s >= c.opts.Rho && s > best.sim {
 					best = rowBest{sim: s, j: ids[j]}
@@ -522,7 +520,8 @@ func (c *Clusterer) mergeClusters(ctx context.Context) (int, error) {
 	}
 }
 
-// qb5000:locked mu
+// clusterIDs returns the live cluster IDs in ascending order; the caller
+// holds c.mu.
 func (c *Clusterer) clusterIDs() []int64 {
 	ids := make([]int64, 0, len(c.clusters))
 	for id := range c.clusters {
@@ -567,12 +566,11 @@ func (c *Clusterer) Clusters(now time.Time, window time.Duration) []Ranked {
 	c.mu.RLock()
 	out := make([]Ranked, 0, len(c.clusters))
 	for _, cl := range c.clusters {
-		out = append(out, Ranked{Cluster: cl})
+		// Update rewrites a cluster's members under the write lock, so the
+		// volume is summed before the read lock is released.
+		out = append(out, Ranked{Cluster: cl, Volume: volume(cl, now, window)})
 	}
 	c.mu.RUnlock()
-	for i := range out {
-		out[i].Volume = volume(out[i].Cluster, now, window)
-	}
 	sort.Slice(out, func(i, j int) bool {
 		//lint:ignore floateq exact compare keeps the order a strict weak ordering; an epsilon would break transitivity
 		if out[i].Volume != out[j].Volume {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,4 +93,54 @@ func TestUpdateCancellation(t *testing.T) {
 	if _, err := clu.Update(context.Background(), base.Add(7*24*time.Hour), p.Templates()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConcurrentReadersDuringUpdate holds Clusterer.mu's contract: the read
+// accessors (Len, Assignment, Cluster, Clusters) run from other goroutines
+// while Update rewrites the assignment and the cluster set — every other
+// pass drops half the templates and the next one places them again. Run it
+// under -race: an accessor that reads without the lock is a data race on
+// those maps.
+func TestConcurrentReadersDuringUpdate(t *testing.T) {
+	p := buildCatalog(t, 1)
+	templates := p.Templates()
+	clu := New(Options{Rho: 0.8, Seed: 2, Parallelism: 2})
+	now := base.Add(7 * 24 * time.Hour)
+	stop := make(chan struct{})
+	var ready, done sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				clu.Len()
+				for _, tpl := range templates {
+					if cid, ok := clu.Assignment(tpl.ID); ok {
+						clu.Cluster(cid)
+					}
+				}
+				clu.Clusters(now, time.Hour)
+			}
+		}()
+	}
+	ready.Wait()
+	for i := 0; i < 8; i++ {
+		live := templates
+		if i%2 == 1 {
+			live = templates[:len(templates)/2]
+		}
+		if _, err := clu.Update(context.Background(), now, live); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	done.Wait()
 }

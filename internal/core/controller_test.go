@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,6 +56,37 @@ func TestTickCadence(t *testing.T) {
 	if !ran {
 		t.Fatal("daily cadence did not fire")
 	}
+}
+
+// TestConcurrentTickAndRefresh holds maintainMu's contract: Tick and Refresh
+// called from different goroutines serialize, so the maintenance state they
+// share (lastCluster, the clusterer's update, the epoch being built) is never
+// touched by two passes at once. Run it under -race: a pass that skips the
+// lock is a data race on that state.
+func TestConcurrentTickAndRefresh(t *testing.T) {
+	ctl := New(Config{Model: "LR", ClusterEvery: time.Hour, Seed: 1})
+	to := replayDays(t, ctl, workload.BusTracker(3), 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				now := to.Add(time.Duration(4*i+g+1) * time.Hour)
+				var err error
+				if (g+i)%2 == 0 {
+					err = ctl.Refresh(context.Background(), now)
+				} else {
+					_, err = ctl.Tick(context.Background(), now)
+				}
+				if err != nil {
+					t.Errorf("maintenance pass at %v: %v", now, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNewTemplateTriggerForcesRecluster(t *testing.T) {

@@ -163,26 +163,22 @@ type Controller struct {
 	pre *preprocess.Preprocessor
 	clu *cluster.Clusterer
 
-	// maintainMu serializes the maintenance path (Tick/Refresh). Ingest
-	// and the read accessors never take it.
-	maintainMu sync.Mutex
-	// lastCluster is the last maintenance timestamp.
-	// qb5000:guardedby maintainMu
+	// maintainMu serializes the maintenance path (Tick/Refresh) and guards
+	// lastCluster, the last maintenance timestamp. Ingest and the read
+	// accessors never take it (TestConcurrentTickAndRefresh, under -race).
+	maintainMu  sync.Mutex
 	lastCluster time.Time
 
 	// cur is the atomically published current epoch; nil until the first
 	// successful maintenance pass.
-	// qb5000:guardedby atomic
 	cur atomic.Pointer[epoch]
 
 	// trainCount counts completed model (re)trains.
-	// qb5000:guardedby atomic
 	trainCount atomic.Int64
 
 	// lastSeenNS/firstSeenNS bound the ingested timestamps in Unix
 	// nanoseconds (0 = nothing ingested yet). They are CAS max/min loops so
-	// concurrent ingest needs no lock; the helpers take them by pointer,
-	// which is why they carry no atomic annotation.
+	// concurrent ingest needs no lock.
 	lastSeenNS  atomic.Int64
 	firstSeenNS atomic.Int64
 }
@@ -209,8 +205,6 @@ func New(cfg Config) *Controller {
 }
 
 // storeMaxNS CAS-raises a to ns; 0 means "unset" and always loses.
-//
-// qb5000:noalloc
 func storeMaxNS(a *atomic.Int64, ns int64) {
 	for {
 		cur := a.Load()
@@ -224,8 +218,6 @@ func storeMaxNS(a *atomic.Int64, ns int64) {
 }
 
 // storeMinNS CAS-lowers a to ns; 0 means "unset" and always loses.
-//
-// qb5000:noalloc
 func storeMinNS(a *atomic.Int64, ns int64) {
 	for {
 		cur := a.Load()
@@ -239,8 +231,6 @@ func storeMinNS(a *atomic.Int64, ns int64) {
 }
 
 // noteSeen advances the ingest clock bounds.
-//
-// qb5000:noalloc
 func (c *Controller) noteSeen(at time.Time) {
 	if at.IsZero() {
 		return
@@ -360,7 +350,7 @@ func (c *Controller) Refresh(ctx context.Context, now time.Time) error {
 // clustering and training run, and the finished epoch is published
 // atomically at the end.
 //
-// qb5000:locked maintainMu
+// The caller holds c.maintainMu.
 func (c *Controller) refreshLocked(ctx context.Context, now time.Time) error {
 	c.pre.Maintain(now)
 	if _, err := c.clu.Update(ctx, now, c.pre.Templates()); err != nil {
@@ -381,7 +371,7 @@ func (c *Controller) refreshLocked(ctx context.Context, now time.Time) error {
 // previous epoch stays live; horizons whose fit was skipped for lack of
 // history carry the previous epoch's model forward.
 //
-// qb5000:locked maintainMu
+// The caller holds c.maintainMu.
 func (c *Controller) retrain(ctx context.Context, now time.Time) error {
 	prev := c.cur.Load()
 	next := &epoch{
@@ -496,7 +486,7 @@ func (c *Controller) lagIntervals() int {
 // them so the epoch is immune to the clusterer's next in-place Update. With
 // each cluster it returns the sorted member IDs the epoch serves forecasts by.
 //
-// qb5000:locked maintainMu
+// The caller holds c.maintainMu.
 func (c *Controller) selectTracked(now time.Time) ([]*cluster.Cluster, [][]int64) {
 	tracked := c.clu.Top(now, 24*time.Hour, c.cfg.CoverageTarget, c.cfg.MaxClusters)
 	ids := make([][]int64, len(tracked))

@@ -16,8 +16,8 @@
 //     that no Inject reaches.
 //   - Injection: `if err := failpoint.Inject("pkg.site"); err != nil {
 //     return err }` immediately BEFORE the operation the site models. When
-//     the site is disarmed this is a single atomic load — the fast path is
-//     part of the zero-alloc contract (qb5000:noalloc).
+//     the site is disarmed this is a single atomic load and allocates
+//     nothing (TestDisarmedFastPath).
 //   - Activation: tests call SetNth/SetProb directly; binaries accept a
 //     spec via Parse ("fsx.rename=nth:1,fsx.sync=prob:0.01:42") from a
 //     -failpoints flag or the QB5000_FAILPOINTS environment variable.
@@ -74,16 +74,14 @@ const (
 type point struct {
 	name string
 
-	mu sync.Mutex
-	// qb5000:guardedby mu
+	// mu guards the schedule: every field below
+	// (TestConcurrentInjectIsRaceFree, under -race).
+	mu   sync.Mutex
 	mode int
 	// remaining counts down to the firing call under modeNth.
-	// qb5000:guardedby mu
 	remaining int64
-	// qb5000:guardedby mu
-	prob float64
-	// qb5000:guardedby mu
-	rng *rand.Rand
+	prob      float64
+	rng       *rand.Rand
 }
 
 // active reports whether the point has an armed schedule.
@@ -132,13 +130,11 @@ func Register(name string) string {
 // TestEveryFailpointAbortsCleanly and the crash matrix verify for every
 // registered site, and errflow rejects a result discarded or assigned to _.
 // Disarmed, this is a single atomic load.
-//
-// qb5000:noalloc
 func Inject(name string) error {
 	if !armed.Load() {
 		return nil
 	}
-	//lint:ignore noalloc the armed slow path runs only under fault injection, never in production steady state
+	// The armed slow path runs only under fault injection, never in production steady state.
 	return fire(name)
 }
 

@@ -103,7 +103,7 @@ func TestDisarmedFastPath(t *testing.T) {
 		_ = Inject("test.fast")
 	})
 	if allocs != 0 {
-		t.Fatalf("disarmed Inject allocates %.1f/op; the fast path is part of the noalloc contract", allocs)
+		t.Fatalf("disarmed Inject allocates %.1f/op; the disarmed fast path must not allocate", allocs)
 	}
 }
 

@@ -173,20 +173,5 @@ func SpikeOverride(ens, spike []float64, gamma float64) bool {
 	return kv > ev*(1+gamma)
 }
 
-// AppendSpikeObservation extends the hourly history used for the KR input
-// window as new data arrives (the spike model itself is refreshed on the
-// retrain cadence).
-func (m *Hybrid) AppendSpikeObservation(row []float64) error {
-	if m.spikeHist == nil {
-		return fmt.Errorf("forecast: hybrid spike model not fitted")
-	}
-	if len(row) != m.spikeHist.Cols {
-		return fmt.Errorf("forecast: spike observation has %d cols, want %d", len(row), m.spikeHist.Cols)
-	}
-	m.spikeHist.Data = append(m.spikeHist.Data, row...)
-	m.spikeHist.Rows++
-	return nil
-}
-
 // SizeBytes implements Model.
 func (m *Hybrid) SizeBytes() int { return m.ensemble.SizeBytes() + m.kr.SizeBytes() }

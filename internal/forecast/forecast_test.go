@@ -375,7 +375,7 @@ func TestNamesAndSizes(t *testing.T) {
 	}
 }
 
-func TestHybridAppendSpikeObservation(t *testing.T) {
+func TestHybridFitSpike(t *testing.T) {
 	cfg := Config{Lag: 12, Horizon: 2, Outputs: 1, Seed: 1, Epochs: 2}
 	ens, _ := NewDefaultEnsemble(cfg)
 	kr, _ := NewKR(Config{Lag: 12, Horizon: 2, Outputs: 1, Seed: 1}, 0)
@@ -383,21 +383,12 @@ func TestHybridAppendSpikeObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hy.AppendSpikeObservation([]float64{1}); err == nil {
-		t.Fatal("append before FitSpike accepted")
-	}
 	hist := periodicMatrix(24*6, 1, 0.02, 6)
 	if err := hy.Fit(hist); err != nil {
 		t.Fatal(err)
 	}
 	if err := hy.FitSpike(hist); err != nil {
 		t.Fatal(err)
-	}
-	if err := hy.AppendSpikeObservation([]float64{2.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := hy.AppendSpikeObservation([]float64{1, 2}); err == nil {
-		t.Fatal("wrong-width observation accepted")
 	}
 	if _, err := hy.Predict(hist); err != nil {
 		t.Fatal(err)

@@ -208,10 +208,6 @@ func (m *KR) SizeBytes() int {
 	return 8 * n
 }
 
-// TrainingInputs exposes the retained input windows, used by the Appendix B
-// analysis that projects the KR input space with PCA (Figure 15).
-func (m *KR) TrainingInputs() [][]float64 { return m.xs }
-
 func sqDistance(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {

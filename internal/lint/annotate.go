@@ -18,9 +18,8 @@ import (
 type annotationSite uint8
 
 const (
-	onFunc  annotationSite = 1 << iota // a function declaration's doc comment
-	onField                            // a struct field's doc or trailing comment
-	onDecl                             // the line of, or directly above, a var, := or field declaration
+	onFunc annotationSite = 1 << iota // a function declaration's doc comment
+	onDecl                            // the line of, or directly above, a var, := or field declaration
 )
 
 // An annotationSpec is one row of the grammar.
@@ -40,9 +39,6 @@ func grammar(args string) *regexp.Regexp { return regexp.MustCompile(`^` + args 
 var annotationTable = []annotationSpec{
 	{"bounded", grammar(`(?:\s.*)?`), onFunc},        // free-text audit reason
 	{"durable", grammar(`\s*(.*)`), onFunc | onDecl}, // parameter names on a func, bare on a declaration
-	{"guardedby", grammar(`\s+(\S+)\s*`), onField},   // sibling mutex field, or "atomic"
-	{"locked", grammar(`\s+(\S+)\s*`), onFunc},       // receiver mutex field held on entry
-	{"noalloc", grammar(`\s*`), onFunc},
 	{"serving", grammar(`\s*`), onFunc},
 }
 

@@ -3,13 +3,14 @@
 #
 # Exports HEAD into a temporary directory and, for each row of
 # mutations.txt, applies the row's one-line substitution, checks that the
-# tree still builds, then runs `go run ./cmd/qb5000vet ./...` and
-# `go test -count=1 <packages>` and prints
+# tree still builds, then runs `go run ./cmd/qb5000vet ./...`,
+# `go vet <packages>` and `go test -count=1 <packages>` and prints
 #
-#   analyzer | rule | qb5000vet finding? | first failing test
+#   analyzer | rule | qb5000vet finding? | go vet finding? | first failing test
 #
-# The working tree is never touched. Exits 1 if any row does not apply
-# exactly once, does not build, or is caught by neither gate.
+# The packages field may carry go test flags (-race); go vet gets only the
+# package patterns. The working tree is never touched. Exits 1 if any row
+# does not apply exactly once, does not build, or is caught by no gate.
 #
 # Usage: sh internal/lint/audit/run.sh [analyzer]   (or: make lint-audit)
 # With an analyzer name, only that analyzer's rows run.
@@ -26,7 +27,7 @@ mkdir "$tree" && git -C "$root" archive HEAD | tar -x -C "$tree" || exit 2
 cd "$tree" || exit 2
 
 status=0
-echo 'analyzer | rule | qb5000vet finding? | first failing test'
+echo 'analyzer | rule | qb5000vet finding? | go vet finding? | first failing test'
 while IFS= read -r line; do
 	case $line in '' | '#'*) continue ;; esac
 	analyzer=${line%% | *} rest=${line#* | }
@@ -69,15 +70,26 @@ while IFS= read -r line; do
 		1) vet=$(awk -F': ' '{ print $2 }' "$work/log" | sort -u | paste -sd, -) ;;
 		*) vet="driver failure: $(head -n 1 "$work/err")" ;;
 		esac
-		# shellcheck disable=SC2086 # pkgs is a list of package patterns
+		patterns=
+		for w in $pkgs; do
+			case $w in -*) ;; *) patterns="$patterns $w" ;; esac
+		done
+		# shellcheck disable=SC2086 # word lists: package patterns and test flags
+		if go vet $patterns >"$work/log" 2>&1; then
+			govet=-
+		else
+			govet=$(grep -m 1 '^[^#].*:[0-9]*:[0-9]*: ' "$work/log" | sed 's/^[^ ]* //')
+			[ -n "$govet" ] || govet="failed: $(head -n 1 "$work/log")"
+		fi
+		# shellcheck disable=SC2086
 		if go test -count=1 $pkgs >"$work/log" 2>&1; then
 			test=-
 		else
 			test=$(sed -n 's/^ *--- FAIL: \([^ ]*\).*/\1/p' "$work/log" | head -n 1)
 			[ -n "$test" ] || test="$(sed -n 's/^FAIL[[:space:]]\([^[:space:]]*\).*/\1/p' "$work/log" | head -n 1) (no test: build, init or panic)"
 		fi
-		echo "$analyzer | $rule | $vet | $test"
-		if [ "$vet" = - ] && [ "$test" = - ]; then
+		echo "$analyzer | $rule | $vet | $govet | $test"
+		if [ "$vet" = - ] && [ "$govet" = - ] && [ "$test" = - ]; then
 			echo "  ^ caught by no gate"
 			status=1
 		fi

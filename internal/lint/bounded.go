@@ -212,8 +212,7 @@ func isEscapeRecv(info *types.Info, comm ast.Stmt) bool {
 // checkCapturedGrowth flags growth of closure-captured slices and maps with
 // no len() bound in the same closure body. Only locals captured from an
 // enclosing function count: receiver fields and globals have their own
-// owners (guardedby), and variables declared inside the literal are
-// per-invocation.
+// owners, and variables declared inside the literal are per-invocation.
 func (p *Pass) checkCapturedGrowth(n *FuncNode) {
 	guarded := make(map[types.Object]bool)
 	inspectShallow(n.Body, func(node ast.Node) bool {

@@ -1,7 +1,7 @@
 package lint
 
 // This file is the interprocedural layer under the analyzers that read
-// function summaries (noalloc, durable, bounded, guardedby): a package-set
+// function summaries (durable, bounded): a package-set
 // call graph over the typed ASTs the loader already produces, condensed
 // into strongly connected components so per-function summaries
 // (summary.go) can be computed bottom-up.

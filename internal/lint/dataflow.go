@@ -507,13 +507,11 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // ---- The set lattice ----
 
-// A setFact is the lattice element the flow analyses share: a finite map
-// from a key (a lock expression, a synced file) to the witness that put it
-// there (a position).
-// Facts are persistent — with and without copy before mutating — because
-// forwardFlow holds the same fact on several edges. Both flows built on it
-// are must-analyses, joined by intersect (the key holds on every path into
-// the point).
+// A setFact is the lattice element of a must-analysis: a finite map from a
+// key (a synced file) to the witness that put it there (a position).
+// Facts are persistent — with copies before mutating — because forwardFlow
+// holds the same fact on several edges. The join is intersect (the key
+// holds on every path into the point).
 type setFact[K comparable, V comparable] map[K]V
 
 func (s setFact[K, V]) with(k K, v V) setFact[K, V] {
@@ -525,19 +523,6 @@ func (s setFact[K, V]) with(k K, v V) setFact[K, V] {
 		n[sk] = sv
 	}
 	n[k] = v
-	return n
-}
-
-func (s setFact[K, V]) without(k K) setFact[K, V] {
-	if _, ok := s[k]; !ok {
-		return s
-	}
-	n := make(setFact[K, V], len(s))
-	for sk, sv := range s {
-		if sk != k {
-			n[sk] = sv
-		}
-	}
 	return n
 }
 

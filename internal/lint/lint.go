@@ -48,7 +48,7 @@ type Analyzer struct {
 }
 
 // All is the full qb5000vet suite.
-var All = []*Analyzer{NoClock, MapOrder, FloatEq, GuardedBy, ErrFlow, GoLeak, NoAlloc, Durable, Bounded}
+var All = []*Analyzer{NoClock, MapOrder, FloatEq, ErrFlow, GoLeak, Durable, Bounded}
 
 // A Pass carries one type-checked package through the analyzers.
 type Pass struct {

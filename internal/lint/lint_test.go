@@ -86,12 +86,10 @@ func TestNoClockGolden(t *testing.T)  { runGolden(t, NoClock, "noclock", "fixtur
 func TestMapOrderGolden(t *testing.T) { runGolden(t, MapOrder, "maporder", "fixture/maporder") }
 func TestFloatEqGolden(t *testing.T)  { runGolden(t, FloatEq, "floateq", "fixture/floateq") }
 
-func TestGuardedByGolden(t *testing.T) { runGolden(t, GuardedBy, "guardedby", "fixture/guardedby") }
-func TestErrFlowGolden(t *testing.T)   { runGolden(t, ErrFlow, "errflow", "fixture/errflow") }
+func TestErrFlowGolden(t *testing.T) { runGolden(t, ErrFlow, "errflow", "fixture/errflow") }
 
 func TestGoLeakGolden(t *testing.T) { runGolden(t, GoLeak, "goleak", "fixture/goleak") }
 
-func TestNoAllocGolden(t *testing.T) { runGolden(t, NoAlloc, "noalloc", "fixture/noalloc") }
 func TestDurableGolden(t *testing.T) { runGolden(t, Durable, "durable", "fixture/durable") }
 func TestBoundedGolden(t *testing.T) { runGolden(t, Bounded, "bounded", "fixture/bounded") }
 
@@ -103,7 +101,7 @@ func TestFsxProtocolGolden(t *testing.T) { runGolden(t, Durable, "fsxproto", "fi
 // TestUnknownAnnotationKeyGolden checks the qb5000: key hygiene scan: a
 // typo'd annotation key is a finding, regardless of which analyzer runs.
 func TestUnknownAnnotationKeyGolden(t *testing.T) {
-	runGolden(t, NoAlloc, "qb5000key", "fixture/qb5000key")
+	runGolden(t, NoClock, "qb5000key", "fixture/qb5000key")
 }
 
 // TestSuppression checks that valid //lint:ignore directives (leading,
@@ -211,8 +209,8 @@ var b = 2
 	for _, spec := range annotationTable {
 		keys = append(keys, spec.key)
 	}
-	if len(analyzers) != 9 {
-		t.Errorf("All registers %d analyzers, want 9: %v", len(analyzers), analyzers)
+	if len(analyzers) != 7 {
+		t.Errorf("All registers %d analyzers, want 7: %v", len(analyzers), analyzers)
 	}
 	for i, want := range []string{
 		"(known: " + strings.Join(analyzers, ", ") + ")",
@@ -227,7 +225,7 @@ var b = 2
 // debtCeiling is the checked-in cap on //lint:ignore references tree-wide
 // (qb5000vet -debt's total). Lower it when debt is paid; raising it needs the
 // same scrutiny as adding a suppression.
-const debtCeiling = 30
+const debtCeiling = 16
 
 // TestSuppressionDebtCeiling loads the tree as BenchmarkVetTree does and
 // fails if the suppression inventory exceeds the ceiling, so a cleanup

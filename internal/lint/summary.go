@@ -17,10 +17,6 @@ import (
 type FuncSummary struct {
 	// Spawns: the function starts a goroutine, directly or via static callees.
 	Spawns bool
-	// Allocates: the body performs a heap allocation the noalloc analyzer
-	// would flag (make/new, escaping composites, fmt, conversions, closures,
-	// map writes, goroutine spawns), directly or via a static non-go callee.
-	Allocates bool
 	// PerformsIO: the body mutates the filesystem (os.Create/WriteFile/
 	// Rename/Remove/…, or writes through an *os.File), directly or via any
 	// static callee — go statements included, since a spawned write still
@@ -36,11 +32,6 @@ type FuncSummary struct {
 	// under an annotated function clears the bit. The bounded analyzer
 	// requires Bounded on everything reachable from a qb5000:serving entry.
 	Bounded bool
-	// HeldAtExit is the set of lock classes (see lockClassOf) the function
-	// acquires, directly or via static non-go callees, and does not release
-	// before returning — the lock()-helper shape. A class with any
-	// Unlock/RUnlock in the body (deferred ones included) is excluded.
-	HeldAtExit map[string]bool
 }
 
 // A Program is the package set under analysis with its interprocedural
@@ -72,10 +63,7 @@ func (prog *Program) Summary(id string) *FuncSummary { return prog.Summaries[id]
 func computeSummaries(g *CallGraph) map[string]*FuncSummary {
 	sums := make(map[string]*FuncSummary, len(g.Order))
 	for _, n := range g.Order {
-		sums[n.ID] = &FuncSummary{
-			Bounded:    true, // greatest fixed point: cleared, never set
-			HeldAtExit: make(map[string]bool),
-		}
+		sums[n.ID] = &FuncSummary{Bounded: true} // greatest fixed point: cleared, never set
 	}
 	for _, scc := range g.SCCs {
 		for changed := true; changed; {
@@ -92,34 +80,13 @@ func computeSummaries(g *CallGraph) map[string]*FuncSummary {
 
 // summarize recomputes one node's summary from its body and its callees'
 // current summaries, reporting whether any bit changed.
-// bits snapshots the comparable part of a summary (everything but the maps,
-// which are tracked by size — entries are only ever added).
-func (s *FuncSummary) bits() [4]bool {
-	return [4]bool{s.Spawns, s.Allocates, s.PerformsIO, s.Bounded}
-}
-
 func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 	s := sums[n.ID]
-	old := s.bits()
-	oldHeld := len(s.HeldAtExit)
-	info := n.Pkg.Info
+	old := *s
 
-	params := paramObjects(info, n)
-
-	released := map[string]bool{}
 	if n.Body != nil {
 		scanSpawns(n, s)
-		var acquired map[string]bool
-		acquired, released = scanLockClasses(n, info)
-		for c := range acquired {
-			if !released[c] {
-				s.HeldAtExit[c] = true
-			}
-		}
-		if !s.Allocates && bodyAllocates(info, n.Body, params) {
-			s.Allocates = true
-		}
-		if !s.PerformsIO && bodyPerformsIO(info, n.Body) {
+		if !s.PerformsIO && bodyPerformsIO(n.Pkg.Info, n.Body) {
 			s.PerformsIO = true
 		}
 	}
@@ -146,108 +113,8 @@ func summarize(n *FuncNode, sums map[string]*FuncSummary) bool {
 		if cs.PerformsIO {
 			s.PerformsIO = true
 		}
-		// A spawned callee's lock traffic and allocations happen on the new
-		// goroutine, not in this frame.
-		if !e.Go {
-			if cs.Allocates {
-				s.Allocates = true
-			}
-			for c := range cs.HeldAtExit {
-				if !released[c] {
-					s.HeldAtExit[c] = true
-				}
-			}
-		}
 	}
-	return s.bits() != old || len(s.HeldAtExit) != oldHeld
-}
-
-// lockClassOf resolves the program-wide identity class of a mutex
-// expression: "pkg.Type.field" when the mutex is a named struct's field
-// (the receiver type is resolved through pointers, so c.mu and sh.mu on
-// different variables of one type share a class), "pkg.var" for a
-// package-level var, and "" for locals, captures, and anything else the
-// type information cannot pin down.
-func lockClassOf(info *types.Info, e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			recv := sel.Recv()
-			if p, ok := recv.(*types.Pointer); ok {
-				recv = p.Elem()
-			}
-			if named, ok := recv.(*types.Named); ok {
-				obj := named.Obj()
-				pkg := ""
-				if obj.Pkg() != nil {
-					pkg = obj.Pkg().Name()
-				}
-				return pkg + "." + obj.Name() + "." + x.Sel.Name
-			}
-			return ""
-		}
-		// Package-qualified package-level var: pkg.Mu.
-		if id, ok := x.X.(*ast.Ident); ok {
-			if _, ok := info.Uses[id].(*types.PkgName); ok {
-				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-					return v.Pkg().Name() + "." + v.Name()
-				}
-			}
-		}
-		return ""
-	case *ast.Ident:
-		if v, ok := info.ObjectOf(x).(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Name() + "." + v.Name()
-		}
-	}
-	return ""
-}
-
-// scanLockClasses resolves the lock classes the body itself acquires and
-// releases. Only receiver-resolved classes count (lockClassOf); locks on
-// locals stay intraprocedural. Closure bodies are their own nodes and are
-// excluded.
-func scanLockClasses(n *FuncNode, info *types.Info) (acquired, released map[string]bool) {
-	acquired, released = map[string]bool{}, map[string]bool{}
-	inspectShallow(n.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, onMutex := mutexMethod(info, call)
-		if !onMutex {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		class := lockClassOf(info, sel.X)
-		if class == "" {
-			return true
-		}
-		switch name {
-		case "Lock", "RLock":
-			acquired[class] = true
-		case "Unlock", "RUnlock":
-			released[class] = true
-		}
-		return true
-	})
-	return acquired, released
-}
-
-// paramObjects resolves the node's parameter objects positionally.
-func paramObjects(info *types.Info, n *FuncNode) []types.Object {
-	var params []types.Object
-	for _, name := range paramNames(n.Type) {
-		if name == nil {
-			params = append(params, nil)
-		} else {
-			params = append(params, info.Defs[name])
-		}
-	}
-	return params
+	return *s != old
 }
 
 // scanSpawns sets the purely local bits: a go statement spawns, and one
@@ -321,16 +188,6 @@ func isPkgIdent(info *types.Info, e ast.Expr, pkgPath string) bool {
 		return pn.Imported().Path() == pkgPath
 	}
 	return false
-}
-
-// mutexMethod reports the method name if call is a method on sync.Mutex or
-// sync.RWMutex (possibly behind a pointer).
-func mutexMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !isMutexType(info.TypeOf(sel.X)) {
-		return "", false
-	}
-	return sel.Sel.Name, true
 }
 
 // walkChildren invokes f on each direct child of n.

@@ -7,8 +7,7 @@ import "sync"
 
 type counter struct {
 	mu sync.Mutex
-	// qb5000:guardedby mu
-	n int
+	n  int
 }
 
 // qb5000:noalock the fast path must stay allocation-free // want "unknown qb5000: annotation key"

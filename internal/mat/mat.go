@@ -293,17 +293,3 @@ func Mean(v []float64) float64 {
 	}
 	return s / float64(len(v))
 }
-
-// Variance returns the population variance of v.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	mu := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - mu
-		s += d * d
-	}
-	return s / float64(len(v))
-}

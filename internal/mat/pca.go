@@ -100,12 +100,6 @@ func (p *PCA) Transform(x *Matrix) *Matrix {
 	return out
 }
 
-// TransformVec projects a single sample.
-func (p *PCA) TransformVec(v []float64) []float64 {
-	x := &Matrix{Rows: 1, Cols: len(v), Data: append([]float64(nil), v...)}
-	return p.Transform(x).Row(0)
-}
-
 func powerIteration(a *Matrix) (vec []float64, eigenvalue float64) {
 	d := a.Rows
 	// Deterministic start: basis vector for the column with max diagonal.

@@ -90,13 +90,15 @@ func TestPCAPreservesDistancesInFullRank(t *testing.T) {
 	}
 }
 
+// TestPCAVec projects a single sample, a one-row matrix.
 func TestPCAVec(t *testing.T) {
 	x, _ := FromRows([][]float64{{1, 0}, {-1, 0}, {2, 0}, {-2, 0}})
 	p, err := FitPCA(x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := p.TransformVec([]float64{3, 0})
+	one, _ := FromRows([][]float64{{3, 0}})
+	v := p.Transform(one).Row(0)
 	if len(v) != 1 {
 		t.Fatalf("want 1-dim projection, got %v", v)
 	}

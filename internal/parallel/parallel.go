@@ -144,13 +144,10 @@ func Each(workers, n int, fn func(i int)) {
 }
 
 // pool is the shared dispatch state of one concurrent ForEach run. The
-// annotated fields are shared by every worker goroutine and may only be
-// touched through their atomic method calls; qb5000vet's guardedby analyzer
-// (guard "atomic") rejects copies, address escapes, and direct state access.
+// atomic fields are shared by every worker goroutine and may only be
+// touched through their methods (go vet's copylocks check rejects a copy).
 type pool struct {
-	// qb5000:guardedby atomic
-	next atomic.Int64 // next index to claim
-	// qb5000:guardedby atomic
+	next     atomic.Int64          // next index to claim
 	firstErr atomic.Pointer[error] // first worker failure, wins the race once
 
 	cancel context.CancelFunc
@@ -187,23 +184,4 @@ func protect(ctx context.Context, i int, fn func(ctx context.Context, i int) err
 		}
 	}()
 	return fn(ctx, i)
-}
-
-// Map runs fn over items on up to workers goroutines and collects the
-// results in input order. On error the returned slice is nil and the first
-// error is reported with ForEach's semantics.
-func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := ForEach(ctx, workers, len(items), func(ctx context.Context, i int) error {
-		r, err := fn(ctx, i, items[i])
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -220,32 +220,3 @@ func TestEachInlinePath(t *testing.T) {
 	// n <= 0 is a no-op.
 	Each(4, 0, func(i int) { t.Fatal("fn must not run for n == 0") })
 }
-
-func TestMap(t *testing.T) {
-	items := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	out, err := Map(context.Background(), 4, items, func(_ context.Context, i, item int) (int, error) {
-		return item * item, nil
-	})
-	if err != nil {
-		t.Fatalf("Map: %v", err)
-	}
-	for i, item := range items {
-		if out[i] != item*item {
-			t.Fatalf("out[%d] = %d, want %d (order must match input)", i, out[i], item*item)
-		}
-	}
-
-	sentinel := errors.New("map boom")
-	out, err = Map(context.Background(), 4, items, func(_ context.Context, i, item int) (int, error) {
-		if item == 5 {
-			return 0, sentinel
-		}
-		return item, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if out != nil {
-		t.Fatalf("out = %v, want nil on error", out)
-	}
-}

@@ -34,30 +34,24 @@ import (
 // and evicts with a clock hand: a hit sets the entry's reference bit, the
 // hand clears bits until it finds a cold entry to replace.
 type fpCache struct {
-	shards []fpShard
-	mask   uint64
-	// qb5000:guardedby atomic
-	hits atomic.Int64
-	// qb5000:guardedby atomic
-	misses atomic.Int64
-	// qb5000:guardedby atomic
+	shards    []fpShard
+	mask      uint64
+	hits      atomic.Int64
+	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
 // fpShard is one stripe of the fingerprint cache.
 type fpShard struct {
+	// mu guards every field below.
 	mu sync.RWMutex
 	// entries maps raw SQL to its cache entry.
-	// qb5000:guardedby mu
 	entries map[string]*fpEntry
 	// slots is the fixed clock ring; nil slots are free.
-	// qb5000:guardedby mu
 	slots []*fpEntry
 	// free stacks the indices of nil slots.
-	// qb5000:guardedby mu
 	free []int
 	// hand is the clock hand position.
-	// qb5000:guardedby mu
 	hand int
 }
 
@@ -83,7 +77,6 @@ type fpEntry struct {
 	stmt sqlparse.StatementType
 	// ref is the clock reference bit; lookups set it under the shard's read
 	// lock, so concurrent setters need the atomic.
-	// qb5000:guardedby atomic
 	ref atomic.Uint32
 }
 
@@ -119,8 +112,6 @@ func newFPCache(totalEntries, nshards int) *fpCache {
 }
 
 // rawHash is FNV-1a over the raw query bytes: one pass, no allocation.
-//
-// qb5000:noalloc
 func rawHash(raw string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(raw); i++ {
@@ -130,7 +121,6 @@ func rawHash(raw string) uint64 {
 	return h
 }
 
-// qb5000:noalloc
 func (c *fpCache) shardFor(raw string) *fpShard {
 	return &c.shards[rawHash(raw)&c.mask]
 }
@@ -138,8 +128,6 @@ func (c *fpCache) shardFor(raw string) *fpShard {
 // lookup returns the live entry for raw, marking it recently used, or nil.
 // Counter accounting is the caller's job: a lookup hit can still turn into a
 // logical miss if the template was evicted underneath the entry.
-//
-// qb5000:noalloc
 func (c *fpCache) lookup(raw string) *fpEntry {
 	sh := c.shardFor(raw)
 	sh.mu.RLock()

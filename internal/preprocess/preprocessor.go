@@ -63,7 +63,7 @@ type Preprocessor struct {
 	shards    []catalogShard
 	shardMask uint64
 	shardBits uint
-	// qb5000:guardedby atomic
+	// parseErrors counts queries Templatize rejected.
 	parseErrors atomic.Int64
 	// fp is the raw-SQL fingerprint cache; nil when disabled. The pointer is
 	// immutable after New; the cache synchronizes internally.
@@ -74,26 +74,22 @@ type Preprocessor struct {
 // to stripes by hashing their semantic key, so a given template lives in
 // exactly one stripe for its whole lifetime (restored snapshots included).
 type catalogShard struct {
+	// mu guards every field but idx (TestConcurrentProcess,
+	// TestConcurrentProcessMany and TestFPCacheConcurrentChurn, under -race).
 	mu sync.Mutex
 	// idx is the stripe's position, immutable after New; live template IDs
 	// carry it in their low shardBits bits.
-	idx int64
-	// qb5000:guardedby mu
+	idx       int64
 	templates map[string]*Template // semantic key → template
-	// qb5000:guardedby mu
-	byID map[int64]*Template
+	byID      map[int64]*Template
 	// nextSeq is the stripe-local ID sequence; template ID =
 	// nextSeq<<shardBits | idx.
-	// qb5000:guardedby mu
-	nextSeq int64
-	// qb5000:guardedby mu
+	nextSeq      int64
 	totalQueries int64
-	// qb5000:guardedby mu
-	byType map[sqlparse.StatementType]int64
+	byType       map[sqlparse.StatementType]int64
 	// newSinceMark counts templates created since the last MarkNewTemplates
 	// call; the clusterer uses the ratio of new templates to trigger
 	// re-clustering (§5.2).
-	// qb5000:guardedby mu
 	newSinceMark int
 }
 
@@ -145,8 +141,6 @@ func (p *Preprocessor) NumShards() int { return len(p.shards) }
 // the template's parameter reservoir: both must depend only on the key, not
 // on the stripe layout, so snapshots stay byte-identical across shard
 // counts.
-//
-// qb5000:noalloc
 func keyHash(key string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -157,13 +151,10 @@ func keyHash(key string) uint64 {
 }
 
 // shardIndex hashes a semantic key onto a stripe.
-//
-// qb5000:noalloc
 func (p *Preprocessor) shardIndex(key string) int {
 	return int(keyHash(key) & p.shardMask)
 }
 
-// qb5000:noalloc
 func (p *Preprocessor) shardFor(key string) *catalogShard {
 	return &p.shards[p.shardIndex(key)]
 }
@@ -213,13 +204,11 @@ func (p *Preprocessor) processN(raw string, at time.Time, count int64) (*Templat
 
 // foldFingerprint is the observe fast path: resolve raw through the
 // fingerprint cache and fold straight into the owning stripe, skipping
-// lex/parse/normalize entirely. It allocates nothing in steady state. A nil
-// return means the caller must take the full templatize path: either no
-// entry exists, or the cached template was evicted underneath the entry —
-// the stripe's byID index is re-checked under its lock, so a stale entry can
-// never resurrect a dead template ID.
-//
-// qb5000:noalloc
+// lex/parse/normalize entirely. It allocates nothing in steady state
+// (TestHitPathAllocs). A nil return means the caller must take the full
+// templatize path: either no entry exists, or the cached template was
+// evicted underneath the entry — the stripe's byID index is re-checked under
+// its lock, so a stale entry can never resurrect a dead template ID.
 func (p *Preprocessor) foldFingerprint(raw string, at time.Time, count int64) *Template {
 	e := p.fp.lookup(raw)
 	if e == nil {
@@ -235,7 +224,6 @@ func (p *Preprocessor) foldFingerprint(raw string, at time.Time, count int64) *T
 		// the stale mapping and re-templatize fresh. Identical raw bytes
 		// always map to the same semantic key, so the re-fold lands on this
 		// same stripe and mints a brand-new ID.
-		//lint:ignore noalloc stale-entry cleanup runs once per eviction race, not in the steady-state hit path
 		p.fp.invalidate(raw, e)
 		p.fp.misses.Add(1)
 		return nil
@@ -289,7 +277,7 @@ func (p *Preprocessor) ProcessMany(obs []Observation) (ingested, rejected int64)
 // pre-rendered by renderParams (callers also hand them to the fingerprint
 // cache, so they are rendered exactly once per parse).
 //
-// qb5000:locked mu
+// The caller holds s.mu.
 func (s *catalogShard) fold(p *Preprocessor, res *TemplatizeResult, key string, vals []string, at time.Time, count int64) *Template {
 	t, ok := s.templates[key]
 	if !ok {
@@ -319,18 +307,20 @@ func (s *catalogShard) fold(p *Preprocessor, res *TemplatizeResult, key string, 
 // hit and miss mutate the catalog bit-for-bit identically and enabling the
 // cache can never change template IDs, reservoir streams, or snapshots.
 //
-// qb5000:locked mu
-// qb5000:noalloc
+// The caller holds s.mu.
 func (s *catalogShard) foldExisting(t *Template, vals []string, batch int64, stmt sqlparse.StatementType, at time.Time, count int64) {
 	t.recordVals(at, vals)
 	if count > 1 {
 		t.Count += count - 1
-		//lint:ignore noalloc a minute past the fine tier's capacity grows it by max(n/8, a day of bins): 28 allocations in 31 days of minutes (timeseries.TestRecordMinuteLoopAllocs)
+		// A minute past the fine tier's capacity grows it by max(n/8, a day
+		// of bins): 28 allocations in 31 days of minutes
+		// (timeseries.TestRecordMinuteLoopAllocs).
 		t.History.Record(at, float64(count-1))
 	}
 	t.Tuples += count * batch
 	s.totalQueries += count
-	//lint:ignore noalloc byType's key space is the fixed statement-type enum; buckets stop growing after warmup
+	// byType's key space is the fixed statement-type enum, so its buckets
+	// stop growing after warmup.
 	s.byType[stmt] += count
 }
 

@@ -110,8 +110,6 @@ func (t *Template) Record(at time.Time, params []Param) {
 // fingerprint-cache hit path calls it with the vals captured at the entry's
 // one real parse, so a hit feeds the reservoir the exact stream a miss
 // would without re-rendering (or allocating) per arrival.
-//
-// qb5000:noalloc
 func (t *Template) recordVals(at time.Time, vals []string) {
 	t.Count++
 	if t.Count == 1 || at.Before(t.FirstSeen) {
@@ -120,10 +118,13 @@ func (t *Template) recordVals(at time.Time, vals []string) {
 	if at.After(t.LastSeen) {
 		t.LastSeen = at
 	}
-	//lint:ignore noalloc a minute past the fine tier's capacity grows it by max(n/8, a day of bins): 28 allocations in 31 days of minutes (timeseries.TestRecordMinuteLoopAllocs)
+	// A minute past the fine tier's capacity grows it by max(n/8, a day of
+	// bins): 28 allocations in 31 days of minutes
+	// (timeseries.TestRecordMinuteLoopAllocs).
 	t.History.Record(at, 1)
 	if len(vals) > 0 {
-		//lint:ignore noalloc the reservoir copies a vector with probability capacity/seen, vanishing in steady state
+		// The reservoir copies a vector with probability capacity/seen, which
+		// vanishes in steady state (TestHitPathAllocs/literals).
 		t.Params.Observe(vals)
 	}
 }

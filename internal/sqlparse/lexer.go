@@ -78,8 +78,6 @@ var maxKeywordLen = func() int {
 // returns its interned canonical upper-case text. It does not allocate: the
 // upper-cased copy lives in a stack buffer, and Go map lookups with a
 // string-converted byte slice key do not copy.
-//
-// qb5000:noalloc
 func keywordFor(word string) (string, bool) {
 	if len(word) > maxKeywordLen || len(word) > 16 {
 		return "", false
@@ -119,9 +117,8 @@ func Lex(input string) ([]Token, error) {
 // single-index byte walk over the raw string: every token's Text is either a
 // substring of input, an interned keyword, or — only for string literals
 // that actually contain escapes — a freshly unescaped string, so steady
-// state lexing allocates nothing beyond amortized slice growth.
-//
-// qb5000:noalloc
+// state lexing allocates nothing beyond amortized slice growth
+// (TestLexIntoAllocs).
 func lexInto(dst []Token, input string) ([]Token, error) {
 	i := 0
 	n := len(input)
@@ -145,7 +142,8 @@ func lexInto(dst []Token, input string) ([]Token, error) {
 			}
 			i = j + 2
 		case c == '\'':
-			//lint:ignore noalloc escape-free literals return substrings; only escaped literals take the allocating slow path
+			// Escape-free literals return substrings; only escaped literals
+			// take the allocating slow path.
 			text, next, serr := lexString(input, i)
 			if serr != nil {
 				return dst, serr
@@ -253,8 +251,6 @@ func lexInto(dst []Token, input string) ([]Token, error) {
 
 // opText returns the interned one-byte operator text so single-character
 // operator tokens never allocate a fresh string.
-//
-// qb5000:noalloc
 func opText(c byte) string {
 	switch c {
 	case '=':
@@ -270,7 +266,7 @@ func opText(c byte) string {
 	case '%':
 		return "%"
 	}
-	//lint:ignore noalloc unreachable default: callers pass only the six interned operator bytes above
+	// Unreachable: callers pass only the six operator bytes above.
 	return string(c)
 }
 
@@ -339,8 +335,6 @@ func isIdentPart(c byte) bool {
 }
 
 // isBareIdent reports whether s, unquoted, lexes as exactly one identifier.
-//
-// qb5000:noalloc
 func isBareIdent(s string) bool {
 	if s == "" || !isIdentStart(s[0]) {
 		return false

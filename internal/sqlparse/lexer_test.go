@@ -136,3 +136,32 @@ func TestLexErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestLexIntoAllocs is the allocation gate of the pooled lexer: lexing into
+// a warm token buffer allocates nothing. The statement crosses every
+// token-building branch that shares the input's bytes or an interned string —
+// keywords in mixed case (keywordFor's stack buffer and map read), bare and
+// quoted identifiers, numbers, an escape-free string literal, every one-byte
+// operator (opText), a two-byte operator, placeholders and a comment. Only a
+// string literal with escapes allocates, by design.
+func TestLexIntoAllocs(t *testing.T) {
+	const q = `select DISTINCT a.x, "Quoted" From t AS a -- note
+		WHERE a.y = 1.5 AND b <> ? OR c >= $2 AND d = 'plain' ` +
+		`AND e = f + g - h * i / j % k ORDER BY a.x desc LIMIT 10;`
+	buf := make([]Token, 0, 128)
+	toks, err := lexInto(buf, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) < 40 {
+		t.Fatalf("lexed %d tokens, want the whole statement", len(toks))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := lexInto(buf[:0], q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("lexInto into a warm buffer allocated %.0f times per statement, want 0", allocs)
+	}
+}
