@@ -48,13 +48,16 @@ func (m *FNN) Fit(hist *mat.Matrix) error {
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 7))
 	m.net = nn.NewMLP(rng, m.cfg.Lag*m.cfg.Outputs, m.hidden, m.cfg.Outputs)
 	opt := nn.NewAdam(m.cfg.LearnRate, m.net.Params())
-	trainMiniBatches(rng, m.cfg.Epochs, len(xs), 32, func(idx []int) {
-		bx := make([][]float64, len(idx))
-		by := make([][]float64, len(idx))
+	trainer := nn.NewMLPTrainer(m.net)
+	const batch = 32
+	bx := make([][]float64, batch)
+	by := make([][]float64, batch)
+	trainMiniBatches(rng, m.cfg.Epochs, len(xs), batch, func(idx []int) {
+		bx, by = bx[:len(idx)], by[:len(idx)]
 		for i, j := range idx {
 			bx[i], by[i] = xs[j], ys[j]
 		}
-		m.net.TrainBatch(bx, by)
+		trainer.TrainBatch(bx, by)
 		opt.Step()
 	})
 	m.fitted = true

@@ -98,19 +98,22 @@ func windows(hist *mat.Matrix, lag, horizon int) (xs, ys [][]float64, err error)
 }
 
 // sequences builds the same pairs but keeps the lag window as a sequence of
-// per-interval vectors for the recurrent models.
+// per-interval vectors for the recurrent models. Every window and target is
+// a view of hist's rows, so the caller must own hist and leave it unchanged.
 func sequences(hist *mat.Matrix, lag, horizon int) (seqs [][][]float64, ys [][]float64, err error) {
 	t := hist.Rows
 	if t < lag+horizon {
 		return nil, nil, fmt.Errorf("%w: %d rows, need %d", ErrInsufficientData, t, lag+horizon)
 	}
-	for end := lag; end+horizon <= t; end++ {
-		seq := make([][]float64, lag)
-		for i := 0; i < lag; i++ {
-			seq[i] = append([]float64(nil), hist.Row(end-lag+i)...)
-		}
-		seqs = append(seqs, seq)
-		ys = append(ys, append([]float64(nil), hist.Row(end+horizon-1)...))
+	rows := make([][]float64, t)
+	for i := range rows {
+		rows[i] = hist.Data[i*hist.Cols : (i+1)*hist.Cols : (i+1)*hist.Cols]
+	}
+	n := t - lag - horizon + 1
+	seqs, ys = make([][][]float64, n), make([][]float64, n)
+	for w := range seqs {
+		seqs[w] = rows[w : w+lag : w+lag]
+		ys[w] = rows[w+lag+horizon-1]
 	}
 	return seqs, ys, nil
 }

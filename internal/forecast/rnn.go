@@ -56,6 +56,9 @@ func (m *RNN) Fit(hist *mat.Matrix) error {
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 13))
 	m.net = nn.NewLSTMNet(rng, m.cfg.Outputs, m.embed, m.hidden, m.cfg.Outputs)
 	opt := nn.NewAdam(m.cfg.LearnRate, m.net.Params())
+	// The trainer's scratch lives only as long as this call: the fitted
+	// model, which concurrent readers share, cannot reach it.
+	trainer := nn.NewLSTMTrainer(m.net)
 
 	// Hold out the most recent 20% of windows for early stopping.
 	split := len(seqs) * 4 / 5
@@ -73,21 +76,22 @@ func (m *RNN) Fit(hist *mat.Matrix) error {
 	for i := range order {
 		order[i] = i
 	}
+	const batch = 16
+	bs := make([][][]float64, 0, batch)
+	bt := make([][]float64, 0, batch)
 	for e := 0; e < m.cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		const batch = 16
 		for from := 0; from < len(order); from += batch {
 			to := from + batch
 			if to > len(order) {
 				to = len(order)
 			}
-			bs := make([][][]float64, 0, to-from)
-			bt := make([][]float64, 0, to-from)
+			bs, bt = bs[:0], bt[:0]
 			for _, j := range order[from:to] {
 				bs = append(bs, trainSeqs[j])
 				bt = append(bt, trainYs[j])
 			}
-			m.net.TrainBatchParallel(bs, bt)
+			trainer.TrainBatch(bs, bt)
 			opt.Step()
 		}
 		m.TrainedEpochs = e + 1

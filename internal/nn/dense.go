@@ -16,12 +16,12 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 	return d
 }
 
-// Forward computes the layer output for x.
-func (d *Dense) Forward(x []float64) []float64 {
-	y := make([]float64, d.Out)
-	for o := 0; o < d.Out; o++ {
+// Forward writes the layer output for x into y (Out values) and returns y.
+func (d *Dense) Forward(y, x []float64) []float64 {
+	y = y[:d.Out]
+	for o := range y {
 		s := d.B.W[o]
-		row := d.W.W[o*d.In : (o+1)*d.In]
+		row := d.W.W[o*d.In : (o+1)*d.In][:len(x)]
 		for i, xi := range x {
 			s += row[i] * xi
 		}
@@ -31,23 +31,32 @@ func (d *Dense) Forward(x []float64) []float64 {
 }
 
 // Backward accumulates parameter gradients for the forward pass that
-// consumed x and produced dy upstream gradient, returning dx.
-func (d *Dense) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, d.In)
+// consumed x, given the upstream gradient dy. A non-nil dx (In values) is
+// overwritten with the gradient w.r.t. x; a nil dx skips that product.
+func (d *Dense) Backward(dx, x, dy []float64) {
+	if dx != nil {
+		dx = dx[:len(x)]
+		clear(dx)
+	}
 	for o := 0; o < d.Out; o++ {
 		g := dy[o]
 		if g == 0 {
 			continue
 		}
 		d.B.G[o] += g
-		row := d.W.W[o*d.In : (o+1)*d.In]
-		grow := d.W.G[o*d.In : (o+1)*d.In]
+		grow := d.W.G[o*d.In : (o+1)*d.In][:len(x)]
+		if dx == nil {
+			for i, xi := range x {
+				grow[i] += g * xi
+			}
+			continue
+		}
+		row := d.W.W[o*d.In : (o+1)*d.In][:len(x)]
 		for i, xi := range x {
 			grow[i] += g * xi
 			dx[i] += g * row[i]
 		}
 	}
-	return dx
 }
 
 // Params returns the layer's trainable parameters.

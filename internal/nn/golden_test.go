@@ -29,6 +29,7 @@ func trainGolden() string {
 	}
 	net := NewLSTMNet(rand.New(rand.NewSource(61)), 2, 3, []int{4, 3}, 2)
 	opt := NewAdam(0.05, net.Params())
+	tr := NewLSTMTrainer(net)
 	var b strings.Builder
 	writeBits := func(label string, vs []float64) {
 		b.WriteString(label)
@@ -39,7 +40,7 @@ func trainGolden() string {
 	}
 	from := 0
 	for bi, size := range []int{9, 12, 16, 5} {
-		loss := net.TrainBatchParallel(seqs[from:from+size], targets[from:from+size])
+		loss := tr.TrainBatch(seqs[from:from+size], targets[from:from+size])
 		from += size
 		writeBits(fmt.Sprintf("batch %d loss", bi), []float64{loss})
 		for pi, p := range net.Params() {

@@ -29,72 +29,85 @@ func NewLSTM(rng *rand.Rand, in, hidden int) *LSTM {
 	return l
 }
 
-// LSTMState is the recurrent (h, c) pair.
-type LSTMState struct {
-	H, C []float64
-}
-
-// NewState returns a zero state.
-func (l *LSTM) NewState() LSTMState {
-	return LSTMState{H: make([]float64, l.Hidden), C: make([]float64, l.Hidden)}
-}
-
-// lstmCache stores the per-step activations needed by BPTT.
+// lstmCache holds one step's activations for BPTT and the state the step
+// produced: c is the new cell state and h the new hidden state. x, hPrev and
+// cPrev are views of the step's inputs.
 type lstmCache struct {
 	x, hPrev, cPrev []float64
 	i, f, g, o      []float64
-	c, tanhC        []float64
+	c, tanhC, h     []float64
 }
 
-// Step advances the layer one timestep, returning the new state and the
-// cache required to backpropagate through this step.
-func (l *LSTM) Step(x []float64, st LSTMState) (LSTMState, *lstmCache) {
+// cacheFloats is the float count one step's cache carves from an arena.
+func (l *LSTM) cacheFloats() int { return 7 * l.Hidden }
+
+// newCache carves a step cache for this layer from a.
+func (l *LSTM) newCache(a *arena) lstmCache {
 	H := l.Hidden
-	cache := &lstmCache{
-		x: x, hPrev: st.H, cPrev: st.C,
-		i: make([]float64, H), f: make([]float64, H),
-		g: make([]float64, H), o: make([]float64, H),
-		c: make([]float64, H), tanhC: make([]float64, H),
+	return lstmCache{
+		i: a.take(H), f: a.take(H), g: a.take(H), o: a.take(H),
+		c: a.take(H), tanhC: a.take(H), h: a.take(H),
 	}
+}
+
+// Step advances the layer one timestep from the state (hPrev, cPrev),
+// writing the gate activations and the new state (cache.h, cache.c) into
+// cache. The four gate pre-activations of a hidden unit are summed in one
+// pass, each in the order bias, x, hPrev.
+func (l *LSTM) Step(cache *lstmCache, x, hPrev, cPrev []float64) {
+	H := l.Hidden
 	width := l.In + H
-	next := LSTMState{H: make([]float64, H), C: make([]float64, H)}
+	cache.x, cache.hPrev, cache.cPrev = x, hPrev, cPrev
+	w, b := l.W.W, l.B.W
+	nx := len(x)
 	for h := 0; h < H; h++ {
-		var pre [4]float64
-		for gate := 0; gate < 4; gate++ {
-			rowIdx := gate*H + h
-			row := l.W.W[rowIdx*width : (rowIdx+1)*width]
-			s := l.B.W[rowIdx]
-			for k, xv := range x {
-				s += row[k] * xv
-			}
-			for k, hv := range st.H {
-				s += row[l.In+k] * hv
-			}
-			pre[gate] = s
+		r0 := w[h*width : (h+1)*width]
+		r1 := w[(H+h)*width : (H+h+1)*width]
+		r2 := w[(2*H+h)*width : (2*H+h+1)*width]
+		r3 := w[(3*H+h)*width : (3*H+h+1)*width]
+		s0, s1, s2, s3 := b[h], b[H+h], b[2*H+h], b[3*H+h]
+		x0, x1, x2, x3 := r0[:nx], r1[:nx], r2[:nx], r3[:nx]
+		for k, xv := range x {
+			s0 += x0[k] * xv
+			s1 += x1[k] * xv
+			s2 += x2[k] * xv
+			s3 += x3[k] * xv
 		}
-		i := sigmoid(pre[0])
-		f := sigmoid(pre[1])
-		g := math.Tanh(pre[2])
-		o := sigmoid(pre[3])
-		c := f*st.C[h] + i*g
+		h0, h1, h2, h3 := r0[l.In:][:len(hPrev)], r1[l.In:][:len(hPrev)], r2[l.In:][:len(hPrev)], r3[l.In:][:len(hPrev)]
+		for k, hv := range hPrev {
+			s0 += h0[k] * hv
+			s1 += h1[k] * hv
+			s2 += h2[k] * hv
+			s3 += h3[k] * hv
+		}
+		i := sigmoid(s0)
+		f := sigmoid(s1)
+		g := math.Tanh(s2)
+		o := sigmoid(s3)
+		c := f*cPrev[h] + i*g
 		tc := math.Tanh(c)
 		cache.i[h], cache.f[h], cache.g[h], cache.o[h] = i, f, g, o
 		cache.c[h], cache.tanhC[h] = c, tc
-		next.C[h] = c
-		next.H[h] = o * tc
+		cache.h[h] = o * tc
 	}
-	return next, cache
 }
 
 // StepBackward backpropagates one timestep. dH and dC are the upstream
-// gradients w.r.t. this step's output state; it returns the gradients
-// w.r.t. the input x and the previous state.
-func (l *LSTM) StepBackward(cache *lstmCache, dH, dC []float64) (dx []float64, dHPrev, dCPrev []float64) {
+// gradients w.r.t. the step's output state. It accumulates the parameter
+// gradients and overwrites dx, dHPrev and dCPrev with the gradients w.r.t.
+// the input x and the previous state. One pass over k updates all four gate
+// rows of a hidden unit, adding their terms into dx[k] and dHPrev[k] in gate
+// order.
+func (l *LSTM) StepBackward(cache *lstmCache, dH, dC, dx, dHPrev, dCPrev []float64) {
 	H := l.Hidden
 	width := l.In + H
-	dx = make([]float64, l.In)
-	dHPrev = make([]float64, H)
-	dCPrev = make([]float64, H)
+	x, hPrev := cache.x, cache.hPrev
+	nx, nh := len(x), len(hPrev)
+	dx, dHPrev = dx[:nx], dHPrev[:nh]
+	clear(dx)
+	clear(dHPrev)
+	clear(dCPrev)
+	w, gw, gb := l.W.W, l.W.G, l.B.G
 	for h := 0; h < H; h++ {
 		i, f, g, o := cache.i[h], cache.f[h], cache.g[h], cache.o[h]
 		tc := cache.tanhC[h]
@@ -107,26 +120,80 @@ func (l *LSTM) StepBackward(cache *lstmCache, dH, dC []float64) (dx []float64, d
 		dPre[2] = dc * i * (1 - g*g)                // cell candidate
 		dPre[3] = dOut * tc * o * (1 - o)           // output gate
 		dCPrev[h] += dc * f
-		for gate := 0; gate < 4; gate++ {
-			gp := dPre[gate]
-			if gp == 0 {
-				continue
-			}
-			rowIdx := gate*H + h
-			row := l.W.W[rowIdx*width : (rowIdx+1)*width]
-			grow := l.W.G[rowIdx*width : (rowIdx+1)*width]
-			l.B.G[rowIdx] += gp
-			for k, xv := range cache.x {
-				grow[k] += gp * xv
-				dx[k] += gp * row[k]
-			}
-			for k, hv := range cache.hPrev {
-				grow[l.In+k] += gp * hv
-				dHPrev[k] += gp * row[l.In+k]
+		if dPre[0] == 0 || dPre[1] == 0 || dPre[2] == 0 || dPre[3] == 0 {
+			// A zero gate is skipped outright: adding 0*row[k] could turn
+			// a -0 into a +0.
+			l.gatesBackward(&dPre, h, x, hPrev, dx, dHPrev)
+			continue
+		}
+		d0, d1, d2, d3 := dPre[0], dPre[1], dPre[2], dPre[3]
+		gb[h] += d0
+		gb[H+h] += d1
+		gb[2*H+h] += d2
+		gb[3*H+h] += d3
+		r0 := w[h*width : (h+1)*width]
+		r1 := w[(H+h)*width : (H+h+1)*width]
+		r2 := w[(2*H+h)*width : (2*H+h+1)*width]
+		r3 := w[(3*H+h)*width : (3*H+h+1)*width]
+		g0 := gw[h*width : (h+1)*width]
+		g1 := gw[(H+h)*width : (H+h+1)*width]
+		g2 := gw[(2*H+h)*width : (2*H+h+1)*width]
+		g3 := gw[(3*H+h)*width : (3*H+h+1)*width]
+		{
+			r0, r1, r2, r3 := r0[:nx], r1[:nx], r2[:nx], r3[:nx]
+			g0, g1, g2, g3 := g0[:nx], g1[:nx], g2[:nx], g3[:nx]
+			for k, xv := range x {
+				g0[k] += d0 * xv
+				g1[k] += d1 * xv
+				g2[k] += d2 * xv
+				g3[k] += d3 * xv
+				s := dx[k]
+				s += d0 * r0[k]
+				s += d1 * r1[k]
+				s += d2 * r2[k]
+				s += d3 * r3[k]
+				dx[k] = s
 			}
 		}
+		r0, r1, r2, r3 = r0[l.In:][:nh], r1[l.In:][:nh], r2[l.In:][:nh], r3[l.In:][:nh]
+		g0, g1, g2, g3 = g0[l.In:][:nh], g1[l.In:][:nh], g2[l.In:][:nh], g3[l.In:][:nh]
+		for k, hv := range hPrev {
+			g0[k] += d0 * hv
+			g1[k] += d1 * hv
+			g2[k] += d2 * hv
+			g3[k] += d3 * hv
+			s := dHPrev[k]
+			s += d0 * r0[k]
+			s += d1 * r1[k]
+			s += d2 * r2[k]
+			s += d3 * r3[k]
+			dHPrev[k] = s
+		}
 	}
-	return dx, dHPrev, dCPrev
+}
+
+// gatesBackward is StepBackward's inner loop one gate at a time, for a
+// hidden unit h with a gate whose pre-activation gradient is exactly zero.
+func (l *LSTM) gatesBackward(dPre *[4]float64, h int, x, hPrev, dx, dHPrev []float64) {
+	H := l.Hidden
+	width := l.In + H
+	for gate, gp := range dPre {
+		if gp == 0 {
+			continue
+		}
+		rowIdx := gate*H + h
+		row := l.W.W[rowIdx*width : (rowIdx+1)*width]
+		grow := l.W.G[rowIdx*width : (rowIdx+1)*width]
+		l.B.G[rowIdx] += gp
+		for k, xv := range x {
+			grow[k] += gp * xv
+			dx[k] += gp * row[k]
+		}
+		for k, hv := range hPrev {
+			grow[l.In+k] += gp * hv
+			dHPrev[k] += gp * row[l.In+k]
+		}
+	}
 }
 
 // Params returns the layer's trainable parameters.

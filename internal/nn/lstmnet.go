@@ -25,25 +25,36 @@ func NewLSTMNet(rng *rand.Rand, in, embed int, hidden []int, out int) *LSTMNet {
 }
 
 // Predict runs the sequence through the network and returns the readout of
-// the final step.
+// the final step. It allocates its own scratch on every call — two step
+// caches per layer, not one per step — so concurrent readers may share a
+// fitted network.
 func (n *LSTMNet) Predict(seq [][]float64) []float64 {
-	states := make([]LSTMState, len(n.Cells))
-	for i, c := range n.Cells {
-		states[i] = c.NewState()
+	size := n.Out.Out + n.Embed.Out + n.maxHidden()
+	for _, c := range n.Cells {
+		size += 2 * c.cacheFloats()
 	}
-	var last []float64
-	for _, x := range seq {
-		cur := n.Embed.Forward(x)
-		for i, c := range n.Cells {
-			states[i], _ = c.Step(cur, states[i])
-			cur = states[i].H
+	a := arena(make([]float64, size))
+	out, emb, zero := a.take(n.Out.Out), a.take(n.Embed.Out), a.take(n.maxHidden())
+	caches := make([]lstmCache, 2*len(n.Cells))
+	for l, c := range n.Cells {
+		caches[2*l], caches[2*l+1] = c.newCache(&a), c.newCache(&a)
+	}
+	last := zero[:n.lastHidden()]
+	for t, x := range seq {
+		cur := n.Embed.Forward(emb, x)
+		for l, c := range n.Cells {
+			cache := &caches[2*l+t%2]
+			hPrev, cPrev := zero[:c.Hidden], zero[:c.Hidden]
+			if t > 0 {
+				prev := &caches[2*l+(t-1)%2]
+				hPrev, cPrev = prev.h, prev.c
+			}
+			c.Step(cache, cur, hPrev, cPrev)
+			cur = cache.h
 		}
 		last = cur
 	}
-	if last == nil {
-		last = make([]float64, n.lastHidden())
-	}
-	return n.Out.Forward(last)
+	return n.Out.Forward(out, last)
 }
 
 func (n *LSTMNet) lastHidden() int {
@@ -53,94 +64,14 @@ func (n *LSTMNet) lastHidden() int {
 	return n.Cells[len(n.Cells)-1].Hidden
 }
 
-// netCache stores everything one forward pass needs for BPTT.
-type netCache struct {
-	embedIn  [][]float64    // raw inputs per step
-	embedOut [][]float64    // embedding outputs per step
-	caches   [][]*lstmCache // [layer][step]
-	lastH    []float64
-}
-
-func (n *LSTMNet) forward(seq [][]float64) ([]float64, *netCache) {
-	nc := &netCache{caches: make([][]*lstmCache, len(n.Cells))}
-	states := make([]LSTMState, len(n.Cells))
-	for i, c := range n.Cells {
-		states[i] = c.NewState()
+// maxHidden is the widest recurrent state, the length of a shared zero
+// state (and, for a network without cells, of the embedding output).
+func (n *LSTMNet) maxHidden() int {
+	m := n.Embed.Out
+	for _, c := range n.Cells {
+		m = max(m, c.Hidden)
 	}
-	for _, x := range seq {
-		nc.embedIn = append(nc.embedIn, x)
-		cur := n.Embed.Forward(x)
-		nc.embedOut = append(nc.embedOut, cur)
-		for i, c := range n.Cells {
-			var cache *lstmCache
-			states[i], cache = c.Step(cur, states[i])
-			nc.caches[i] = append(nc.caches[i], cache)
-			cur = states[i].H
-		}
-		nc.lastH = cur
-	}
-	return n.Out.Forward(nc.lastH), nc
-}
-
-// TrainBatch accumulates MSE gradients over a batch of (sequence, target)
-// pairs and returns the batch loss. Callers step the optimizer afterwards.
-func (n *LSTMNet) TrainBatch(seqs [][][]float64, targets [][]float64) float64 {
-	var loss float64
-	for s, seq := range seqs {
-		pred, nc := n.forward(seq)
-		target := targets[s]
-		dy := make([]float64, len(pred))
-		for i, p := range pred {
-			d := p - target[i]
-			loss += d * d
-			dy[i] = 2 * d / float64(len(pred)*len(seqs))
-		}
-		n.backward(nc, dy)
-	}
-	return loss / float64(len(seqs))
-}
-
-// backward backpropagates through time from the final-step readout.
-func (n *LSTMNet) backward(nc *netCache, dy []float64) {
-	T := len(nc.embedIn)
-	if T == 0 {
-		return
-	}
-	L := len(n.Cells)
-	// dH[l] and dC[l] carry the recurrent gradient for layer l at the
-	// current timestep during the backward sweep.
-	dH := make([][]float64, L)
-	dC := make([][]float64, L)
-	for l, c := range n.Cells {
-		dH[l] = make([]float64, c.Hidden)
-		dC[l] = make([]float64, c.Hidden)
-	}
-	// Seed from the readout at the final step.
-	dLast := n.Out.Backward(nc.lastH, dy)
-	addInto(dH[L-1], dLast)
-
-	for t := T - 1; t >= 0; t-- {
-		// dFromAbove is the gradient flowing into layer l's output at step
-		// t from layer l+1's input at the same step.
-		var dFromAbove []float64
-		for l := L - 1; l >= 0; l-- {
-			up := dH[l]
-			if dFromAbove != nil {
-				addInto(up, dFromAbove)
-			}
-			dx, dHPrev, dCPrev := n.Cells[l].StepBackward(nc.caches[l][t], up, dC[l])
-			dH[l], dC[l] = dHPrev, dCPrev
-			dFromAbove = dx
-		}
-		// dFromAbove is now the gradient w.r.t. the embedding output.
-		n.Embed.Backward(nc.embedIn[t], dFromAbove)
-	}
-}
-
-func addInto(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
+	return m
 }
 
 // Params returns all trainable parameters.

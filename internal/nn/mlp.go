@@ -24,51 +24,90 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 	return m
 }
 
-// Forward runs the network on x.
+// Forward runs the network on x. It allocates its activations on every
+// call, so concurrent readers may share a fitted network.
 func (m *MLP) Forward(x []float64) []float64 {
-	y, _ := m.forward(x)
-	return y
+	return m.forward(m.activations(), x)
 }
 
-// forward returns the output and the input to every layer (pre-layer
-// activations) for backprop.
-func (m *MLP) forward(x []float64) ([]float64, [][]float64) {
-	inputs := make([][]float64, len(m.Layers))
+// activations carves one output buffer per layer from a single allocation.
+func (m *MLP) activations() [][]float64 {
+	size := 0
+	for _, l := range m.Layers {
+		size += l.Out
+	}
+	a := arena(make([]float64, size))
+	acts := make([][]float64, len(m.Layers))
+	for i, l := range m.Layers {
+		acts[i] = a.take(l.Out)
+	}
+	return acts
+}
+
+// forward writes every layer's output (tanh-activated for hidden layers)
+// into acts and returns the last.
+func (m *MLP) forward(acts [][]float64, x []float64) []float64 {
 	cur := x
 	for i, l := range m.Layers {
-		inputs[i] = cur
-		cur = l.Forward(cur)
+		cur = l.Forward(acts[i], cur)
 		if i+1 < len(m.Layers) { // hidden activation
 			for j, v := range cur {
 				cur[j] = math.Tanh(v)
 			}
 		}
 	}
-	return cur, inputs
+	return cur
+}
+
+// MLPTrainer accumulates an MLP's mean-squared-error gradients batch by
+// batch. Like LSTMTrainer it owns the activation and gradient scratch,
+// carved once and reused across samples, batches and epochs.
+type MLPTrainer struct {
+	m    *MLP
+	acts [][]float64 // [layer]: the layer's output
+	// grads[i] is the gradient w.r.t. layer i's output; grads[len-1] is the
+	// readout's.
+	grads [][]float64
+}
+
+// NewMLPTrainer prepares to train m.
+func NewMLPTrainer(m *MLP) *MLPTrainer {
+	grads := make([][]float64, len(m.Layers))
+	size := 0
+	for _, l := range m.Layers {
+		size += l.Out
+	}
+	a := arena(make([]float64, size))
+	for i, l := range m.Layers {
+		grads[i] = a.take(l.Out)
+	}
+	return &MLPTrainer{m: m, acts: m.activations(), grads: grads}
 }
 
 // TrainBatch accumulates gradients of the mean squared error over the batch
 // and returns the batch loss. Callers step the optimizer afterwards.
-func (m *MLP) TrainBatch(xs, ys [][]float64) float64 {
+func (t *MLPTrainer) TrainBatch(xs, ys [][]float64) float64 {
+	layers := t.m.Layers
+	top := len(layers) - 1
 	var loss float64
 	for n, x := range xs {
-		pred, inputs := m.forward(x)
+		pred := t.m.forward(t.acts, x)
 		target := ys[n]
-		dy := make([]float64, len(pred))
+		dy := t.grads[top]
 		for i, p := range pred {
 			d := p - target[i]
 			loss += d * d
 			dy[i] = 2 * d / float64(len(pred)*len(xs))
 		}
-		for i := len(m.Layers) - 1; i >= 0; i-- {
-			dy = m.Layers[i].Backward(inputs[i], dy)
-			if i > 0 {
-				// Undo tanh: inputs[i] holds tanh outputs of layer i-1.
-				for j, a := range inputs[i] {
-					dy[j] *= 1 - a*a
-				}
+		for i := top; i > 0; i-- {
+			// The input of layer i is layer i-1's tanh output.
+			in, dx := t.acts[i-1], t.grads[i-1]
+			layers[i].Backward(dx, in, t.grads[i])
+			for j, a := range in {
+				dx[j] *= 1 - a*a
 			}
 		}
+		layers[0].Backward(nil, x, t.grads[0])
 	}
 	return loss / float64(len(xs))
 }

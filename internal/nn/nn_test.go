@@ -21,7 +21,7 @@ func numericalGrad(w *float64, loss func() float64) float64 {
 func TestDenseForward(t *testing.T) {
 	d := &Dense{In: 2, Out: 1, W: NewParam(2), B: NewParam(1)}
 	d.W.W[0], d.W.W[1], d.B.W[0] = 2, 3, 1
-	got := d.Forward([]float64{4, 5})
+	got := d.Forward(make([]float64, 1), []float64{4, 5})
 	if got[0] != 2*4+3*5+1 {
 		t.Fatalf("Forward = %v", got)
 	}
@@ -34,7 +34,7 @@ func TestDenseGradientCheck(t *testing.T) {
 	target := []float64{1, -1}
 
 	loss := func() float64 {
-		y := d.Forward(x)
+		y := d.Forward(make([]float64, d.Out), x)
 		var l float64
 		for i := range y {
 			diff := y[i] - target[i]
@@ -44,12 +44,13 @@ func TestDenseGradientCheck(t *testing.T) {
 	}
 
 	// Analytic gradients.
-	y := d.Forward(x)
+	y := d.Forward(make([]float64, d.Out), x)
 	dy := make([]float64, len(y))
 	for i := range y {
 		dy[i] = 2 * (y[i] - target[i])
 	}
-	dx := d.Backward(x, dy)
+	dx := make([]float64, d.In)
+	d.Backward(dx, x, dy)
 
 	for i := range d.W.W {
 		want := numericalGrad(&d.W.W[i], loss)
@@ -78,13 +79,23 @@ func TestLSTMGradientCheck(t *testing.T) {
 	xs := [][]float64{{0.4, -0.2}, {0.1, 0.9}, {-0.5, 0.3}}
 	target := []float64{0.2, -0.1, 0.4}
 
-	loss := func() float64 {
-		st := l.NewState()
-		for _, x := range xs {
-			st, _ = l.Step(x, st)
+	a := arena(make([]float64, (len(xs)+1)*l.cacheFloats()))
+	zero := make([]float64, l.Hidden)
+	caches := make([]lstmCache, len(xs))
+	for i := range caches {
+		caches[i] = l.newCache(&a)
+	}
+	run := func() []float64 {
+		h, c := zero, zero
+		for i, x := range xs {
+			l.Step(&caches[i], x, h, c)
+			h, c = caches[i].h, caches[i].c
 		}
+		return h
+	}
+	loss := func() float64 {
 		var lv float64
-		for i, h := range st.H {
+		for i, h := range run() {
 			d := h - target[i]
 			lv += d * d
 		}
@@ -92,18 +103,18 @@ func TestLSTMGradientCheck(t *testing.T) {
 	}
 
 	// Analytic: forward with caches, backward through time.
-	st := l.NewState()
-	caches := make([]*lstmCache, len(xs))
-	for i, x := range xs {
-		st, caches[i] = l.Step(x, st)
-	}
 	dH := make([]float64, l.Hidden)
 	dC := make([]float64, l.Hidden)
-	for i, h := range st.H {
+	for i, h := range run() {
 		dH[i] = 2 * (h - target[i])
 	}
+	dx := make([]float64, l.In)
+	dHPrev := make([]float64, l.Hidden)
+	dCPrev := make([]float64, l.Hidden)
 	for i := len(xs) - 1; i >= 0; i-- {
-		_, dH, dC = l.StepBackward(caches[i], dH, dC)
+		l.StepBackward(&caches[i], dH, dC, dx, dHPrev, dCPrev)
+		dH, dHPrev = dHPrev, dH
+		dC, dCPrev = dCPrev, dC
 	}
 
 	for i := range l.W.W {
@@ -136,7 +147,7 @@ func TestLSTMNetGradientCheck(t *testing.T) {
 		return l / float64(len(y)) // TrainBatch normalizes by outputs*batch
 	}
 
-	net.TrainBatch([][][]float64{seq}, [][]float64{target})
+	NewLSTMTrainer(net).TrainBatch([][][]float64{seq}, [][]float64{target})
 	params := net.Params()
 	for pi, p := range params {
 		for i := range p.W {
@@ -164,7 +175,7 @@ func TestMLPGradientCheck(t *testing.T) {
 		return l / float64(len(y)) // TrainBatch normalizes by outputs*batch
 	}
 
-	m.TrainBatch([][]float64{x}, [][]float64{target})
+	NewMLPTrainer(m).TrainBatch([][]float64{x}, [][]float64{target})
 	for pi, p := range m.Params() {
 		for i := range p.W {
 			want := numericalGrad(&p.W[i], loss)
@@ -179,6 +190,7 @@ func TestAdamReducesLossOnToyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP(rng, 1, 8, 1)
 	opt := NewAdam(0.02, m.Params())
+	tr := NewMLPTrainer(m)
 	// Learn y = sin-ish bump via samples of y = x².
 	xs := make([][]float64, 64)
 	ys := make([][]float64, 64)
@@ -187,11 +199,11 @@ func TestAdamReducesLossOnToyProblem(t *testing.T) {
 		xs[i] = []float64{x}
 		ys[i] = []float64{x * x}
 	}
-	first := m.TrainBatch(xs, ys)
+	first := tr.TrainBatch(xs, ys)
 	opt.Step()
 	var last float64
 	for e := 0; e < 300; e++ {
-		last = m.TrainBatch(xs, ys)
+		last = tr.TrainBatch(xs, ys)
 		opt.Step()
 	}
 	if last > first/10 {
@@ -203,6 +215,7 @@ func TestLSTMNetLearnsAlternatingSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewLSTMNet(rng, 1, 6, []int{8}, 1)
 	opt := NewAdam(0.02, net.Params())
+	tr := NewLSTMTrainer(net)
 	// Predict the next value of an alternating ±1 sequence: requires
 	// remembering the last input's sign.
 	var seqs [][][]float64
@@ -222,7 +235,7 @@ func TestLSTMNetLearnsAlternatingSequence(t *testing.T) {
 	}
 	var last float64
 	for e := 0; e < 200; e++ {
-		last = net.TrainBatch(seqs, targets)
+		last = tr.TrainBatch(seqs, targets)
 		opt.Step()
 	}
 	if last > 0.05 {
@@ -274,6 +287,9 @@ func TestParamInit(t *testing.T) {
 	}
 }
 
+// TestTrainBatchParallelMatchesSerial: the data-parallel split of a batch
+// agrees with one serial pass over it up to floating-point association in
+// the gradient sums. TestTrainGolden pins the bits.
 func TestTrainBatchParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	build := func() *LSTMNet { return NewLSTMNet(rand.New(rand.NewSource(20)), 2, 4, []int{5}, 2) }
@@ -288,8 +304,8 @@ func TestTrainBatchParallelMatchesSerial(t *testing.T) {
 		targets = append(targets, []float64{rng.NormFloat64(), rng.NormFloat64()})
 	}
 	serial, parallel := build(), build()
-	l1 := serial.TrainBatch(seqs, targets)
-	l2 := parallel.TrainBatchParallel(seqs, targets)
+	l1 := NewLSTMTrainer(serial).serial.trainBatch(seqs, targets)
+	l2 := NewLSTMTrainer(parallel).TrainBatch(seqs, targets)
 	if math.Abs(l1-l2) > 1e-9*(1+math.Abs(l1)) {
 		t.Fatalf("loss mismatch: %v vs %v", l1, l2)
 	}
@@ -303,6 +319,8 @@ func TestTrainBatchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTrainBatchParallelDeterministic: two data-parallel passes over the
+// same batch give the same bits in every gradient.
 func TestTrainBatchParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	var seqs [][][]float64
@@ -315,18 +333,17 @@ func TestTrainBatchParallelDeterministic(t *testing.T) {
 		seqs = append(seqs, seq)
 		targets = append(targets, []float64{rng.NormFloat64()})
 	}
-	run := func() float64 {
+	run := func() []*Param {
 		net := NewLSTMNet(rand.New(rand.NewSource(40)), 1, 3, []int{4}, 1)
-		net.TrainBatchParallel(seqs, targets)
-		var sum float64
-		for _, p := range net.Params() {
-			for _, g := range p.G {
-				sum += g
+		NewLSTMTrainer(net).TrainBatch(seqs, targets)
+		return net.Params()
+	}
+	a, b := run(), run()
+	for pi := range a {
+		for i := range a[pi].G {
+			if math.Float64bits(a[pi].G[i]) != math.Float64bits(b[pi].G[i]) {
+				t.Fatalf("param %d grad %d: %v vs %v", pi, i, a[pi].G[i], b[pi].G[i])
 			}
 		}
-		return sum
-	}
-	if run() != run() {
-		t.Fatal("parallel training not deterministic")
 	}
 }
