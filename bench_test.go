@@ -116,6 +116,7 @@ func BenchmarkKRPredict(b *testing.B) {
 // time dominates the pipeline).
 func BenchmarkRNNFitEpoch(b *testing.B) {
 	hist := benchHistory(24*14, 3)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := forecast.Config{Lag: 24, Horizon: 1, Outputs: 3, Seed: 1, Epochs: 1}
 		m, err := forecast.NewRNN(cfg, 0, nil)

@@ -397,3 +397,26 @@ func TestHybridFitSpike(t *testing.T) {
 		t.Fatal("nil ensemble accepted")
 	}
 }
+
+// TestRNNFitAllocs: one epoch of the RNN fit that BenchmarkRNNFitEpoch
+// times — two weeks of hourly rows, three clusters, the paper's network —
+// carves its training scratch once, so it makes a bounded number of
+// allocations rather than several per timestep.
+func TestRNNFitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	hist := periodicMatrix(24*14, 3, 0, 1)
+	allocs := testing.AllocsPerRun(2, func() {
+		m, err := NewRNN(Config{Lag: 24, Horizon: 1, Outputs: 3, Seed: 1, Epochs: 1}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Fit(hist); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Errorf("one-epoch RNN fit allocated %.0f times, want ≤2000", allocs)
+	}
+}

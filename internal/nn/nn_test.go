@@ -347,3 +347,26 @@ func TestTrainBatchParallelDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestLSTMNetPredictAllocs: a prediction allocates its scratch once per
+// call — not once per step — so the count does not grow with the sequence.
+func TestLSTMNetPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	net := NewLSTMNet(rand.New(rand.NewSource(8)), 3, 25, []int{20, 20}, 3)
+	seq := func(n int) [][]float64 {
+		s := make([][]float64, n)
+		for i := range s {
+			s[i] = []float64{0.1 * float64(i), -0.2, 0.3}
+		}
+		return s
+	}
+	short, long := seq(2), seq(48)
+	for _, s := range [][][]float64{short, long} {
+		allocs := testing.AllocsPerRun(50, func() { net.Predict(s) })
+		if allocs > 2 {
+			t.Errorf("Predict over %d steps allocated %.0f times, want ≤2", len(s), allocs)
+		}
+	}
+}
