@@ -72,16 +72,7 @@ type MLPTrainer struct {
 
 // NewMLPTrainer prepares to train m.
 func NewMLPTrainer(m *MLP) *MLPTrainer {
-	grads := make([][]float64, len(m.Layers))
-	size := 0
-	for _, l := range m.Layers {
-		size += l.Out
-	}
-	a := arena(make([]float64, size))
-	for i, l := range m.Layers {
-		grads[i] = a.take(l.Out)
-	}
-	return &MLPTrainer{m: m, acts: m.activations(), grads: grads}
+	return &MLPTrainer{m: m, acts: m.activations(), grads: m.activations()}
 }
 
 // TrainBatch accumulates gradients of the mean squared error over the batch
