@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -83,8 +82,8 @@ func trainedEpochs(m Model) int {
 // its scratch were rewritten for speed, so a difference means a kernel
 // change moved a floating-point sum, not a new baseline to accept.
 func TestNeuralFitGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden recorded on amd64; other architectures may fuse s += a*b into one FMA, which moves the last bit")
+	if fmaFusable {
+		t.Skip("golden recorded on amd64 at GOAMD64=v1; this build may fuse s += a*b into one FMA, which moves the last bit")
 	}
 	got := fitGolden(t)
 	path := filepath.Join("testdata", "fit.golden")

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,8 +58,8 @@ func trainGolden() string {
 // scratch were rewritten for speed; a difference means the gate sums, the
 // gradient accumulation order or the workers' weight refresh changed.
 func TestTrainGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden recorded on amd64; other architectures may fuse s += a*b into one FMA, which moves the last bit")
+	if fmaFusable {
+		t.Skip("golden recorded on amd64 at GOAMD64=v1; this build may fuse s += a*b into one FMA, which moves the last bit")
 	}
 	got := trainGolden()
 	path := filepath.Join("testdata", "train.golden")
